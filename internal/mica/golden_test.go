@@ -165,8 +165,9 @@ func TestGoldenVectors(t *testing.T) {
 
 	// Batch size 0 is the scalar Record path; the rest drive RecordBatch at
 	// sizes spanning smaller-than, equal-to, and larger-than the interval's
-	// block structure (4097 makes the final block a single instruction).
-	batchSizes := []int{0, 1, 7, 64, 4096, 8192}
+	// block structure (4097 makes the final block a single instruction),
+	// plus the shipped default, whatever it is.
+	batchSizes := []int{0, 1, 7, 64, 4096, 8192, trace.DefaultBatchSize}
 	a := NewAnalyzer()
 	for _, w := range want {
 		for _, batch := range batchSizes {
@@ -198,7 +199,7 @@ func TestGoldenVectorsFreshAnalyzer(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := want[0]
-	for _, batch := range []int{0, 1, 4096} {
+	for _, batch := range []int{0, 1, 4096, trace.DefaultBatchSize} {
 		got := characterizeGolden(t, NewAnalyzer(), w, batch)
 		for j := range got {
 			if math.Float64bits(got[j]) != math.Float64bits(w.Vector[j]) {

@@ -15,169 +15,140 @@ import (
 // StandardWindows are the window sizes of the paper's Table 1.
 var StandardWindows = []int{32, 64, 128, 256}
 
-// windowModel schedules instructions through one window size.
-type windowModel struct {
-	size     int
-	regReady [isa.NumRegs]int64 // cycle each register value is available
-	complete []int64            // ring buffer of completion cycles
-	pos      int
-	count    uint64
-	lastDone int64 // latest completion cycle seen
+// lanes is how many window models one quad schedules side by side.
+const lanes = 4
+
+// quad schedules up to four window sizes in lock step: each table entry
+// holds one value per lane, so an instruction's operands are looked up
+// once for all four windows and the four dependency chains interleave.
+// Lanes beyond the configured windows repeat lane 0's size; their results
+// are never read.
+type quad struct {
+	size [lanes]uint64
+	// ready is the cycle each register value is available, per lane. The
+	// spare last row absorbs ZeroReg writes in the batch pass; no source
+	// reads it, and ready[ZeroReg] itself stays 0.
+	ready [isa.NumRegs + 1][lanes]int64
+	// ring holds the completion cycles of the last len(ring) instructions,
+	// indexed by instruction number modulo len(ring), a power of two at
+	// least every lane's size: the instruction leaving a window of size s
+	// as instruction n enters is n - s, still held.
+	ring     [][lanes]int64
+	lastDone [lanes]int64 // latest completion cycle seen
 }
 
-func newWindowModel(size int) windowModel {
-	return windowModel{
-		size:     size,
-		complete: make([]int64, size),
-	}
-}
-
-func (w *windowModel) record(ins *isa.Instruction) {
-	// Issue no earlier than when the instruction leaving the window
-	// completed (a full window stalls dispatch), and no earlier than all
-	// source operands are ready.
-	start := int64(0)
-	if w.count >= uint64(w.size) {
-		start = w.complete[w.pos]
-	}
-	for _, r := range ins.Sources() {
-		if r == isa.ZeroReg {
-			continue
+func newQuad(sizes []int) quad {
+	q := quad{}
+	longest := 0
+	for k := range q.size {
+		s := sizes[0]
+		if k < len(sizes) {
+			s = sizes[k]
 		}
-		if t := w.regReady[r]; t > start {
-			start = t
-		}
+		q.size[k] = uint64(s)
+		longest = max(longest, s)
 	}
-	done := start + int64(ins.Op.Latency())
-	if ins.WritesReg() {
-		w.regReady[ins.Dst] = done
+	n := 1
+	for n < longest {
+		n <<= 1
 	}
-	w.complete[w.pos] = done
-	w.pos++
-	if w.pos == w.size {
-		w.pos = 0
-	}
-	w.count++
-	if done > w.lastDone {
-		w.lastDone = done
-	}
+	q.ring = make([][lanes]int64, n)
+	return q
 }
 
-// recordBatch is record unrolled over a block: the window's scalar state
-// lives in locals for the whole batch instead of being reloaded per call,
-// and the full-window test is hoisted out of the steady-state loop (once
-// count reaches the window size it stays there).
-func (w *windowModel) recordBatch(batch []isa.Instruction) {
-	pos := w.pos
-	count := w.count
-	lastDone := w.lastDone
-	complete := w.complete
-	size := len(complete)
-
-	j := 0
-	for ; j < len(batch) && count < uint64(size); j++ {
-		ins := &batch[j]
+// record schedules instruction number n (counting from 0 since the last
+// Reset) through every lane's window.
+func (q *quad) record(ins *isa.Instruction, n uint64) {
+	m := uint64(len(q.ring) - 1)
+	for k := range q.size {
+		// Issue no earlier than when the instruction leaving the window
+		// completed (a full window stalls dispatch), and no earlier than
+		// all source operands are ready.
 		start := int64(0)
-		for _, r := range ins.Src[:ins.NSrc] {
+		if n >= q.size[k] {
+			start = q.ring[(n-q.size[k])&m][k]
+		}
+		for _, r := range ins.Sources() {
 			if r == isa.ZeroReg {
 				continue
 			}
-			if t := w.regReady[r]; t > start {
+			if t := q.ready[r][k]; t > start {
 				start = t
 			}
 		}
 		done := start + int64(ins.Op.Latency())
-		if ins.Dst != isa.ZeroReg {
-			w.regReady[ins.Dst] = done
+		if ins.WritesReg() {
+			q.ready[ins.Dst][k] = done
 		}
-		complete[pos] = done
-		pos++
-		if pos == size {
-			pos = 0
-		}
-		count++
-		if done > lastDone {
-			lastDone = done
+		q.ring[n&m][k] = done
+		if done > q.lastDone[k] {
+			q.lastDone[k] = done
 		}
 	}
-	count += uint64(len(batch) - j)
-	if size > 0 && size&(size-1) == 0 {
-		// Power-of-two ring (all standard window sizes): mask instead of
-		// wrap-compare, which also lets the compiler drop the ring bounds
-		// checks. Register indices are masked with NumRegs-1 — an identity,
-		// since registers are always < NumRegs — for the same reason.
-		m := uint64(len(complete) - 1)
-		p := uint64(pos)
-		for ; j < len(batch); j++ {
-			ins := &batch[j]
-			start := complete[p&m]
-			for _, r := range ins.Src[:ins.NSrc] {
-				if r == isa.ZeroReg {
-					continue
-				}
-				if t := w.regReady[r&(isa.NumRegs-1)]; t > start {
-					start = t
-				}
-			}
-			done := start + int64(ins.Op.Latency())
-			if ins.Dst != isa.ZeroReg {
-				w.regReady[ins.Dst&(isa.NumRegs-1)] = done
-			}
-			complete[p&m] = done
-			p = (p + 1) & m
-			if done > lastDone {
-				lastDone = done
-			}
-		}
-		pos = int(p)
-	}
-	for ; j < len(batch); j++ {
+}
+
+// recordBatch schedules instructions n, n+1, ... of batch, identical to
+// calling record on each. It decodes each instruction's operands once for
+// all lanes and is branch-free per lane. That is exact because record's
+// branches only skip no-op work: the ring slot of an instruction that has
+// not yet entered a window still holds its Reset value 0, sources past
+// NSrc are read as ZeroReg, whose ready cycle stays 0, and a ZeroReg
+// destination writes the spare row ready[NumRegs].
+func (q *quad) recordBatch(batch []isa.Instruction, n uint64) {
+	ring := q.ring
+	m := uint64(len(ring) - 1)
+	s0, s1, s2, s3 := q.size[0], q.size[1], q.size[2], q.size[3]
+	l0, l1, l2, l3 := q.lastDone[0], q.lastDone[1], q.lastDone[2], q.lastDone[3]
+	for j := range batch {
 		ins := &batch[j]
-		start := complete[pos]
-		for _, r := range ins.Src[:ins.NSrc] {
-			if r == isa.ZeroReg {
-				continue
-			}
-			if t := w.regReady[r]; t > start {
-				start = t
-			}
+		// Masking with NumRegs-1 is an identity (registers are always
+		// < NumRegs) that lets the compiler drop the bounds checks.
+		r0 := ins.Src[0] & (isa.NumRegs - 1)
+		r1 := ins.Src[1] & (isa.NumRegs - 1)
+		r2 := ins.Src[2] & (isa.NumRegs - 1)
+		if ins.NSrc < 1 {
+			r0 = 0
 		}
-		done := start + int64(ins.Op.Latency())
-		if ins.Dst != isa.ZeroReg {
-			w.regReady[ins.Dst] = done
+		if ins.NSrc < 2 {
+			r1 = 0
 		}
-		complete[pos] = done
-		pos++
-		if pos == size {
-			pos = 0
+		if ins.NSrc < 3 {
+			r2 = 0
 		}
-		if done > lastDone {
-			lastDone = done
+		d := ins.Dst & (isa.NumRegs - 1)
+		if d == isa.ZeroReg {
+			d = isa.NumRegs
 		}
+		lat := int64(ins.Op.Latency())
+		a, b, c := &q.ready[r0], &q.ready[r1], &q.ready[r2]
+		t0 := max(ring[(n-s0)&m][0], a[0], b[0], c[0]) + lat
+		t1 := max(ring[(n-s1)&m][1], a[1], b[1], c[1]) + lat
+		t2 := max(ring[(n-s2)&m][2], a[2], b[2], c[2]) + lat
+		t3 := max(ring[(n-s3)&m][3], a[3], b[3], c[3]) + lat
+		// Stored lane by lane: an array value is built on the stack and
+		// copied with 16-byte moves that cannot forward from its 8-byte
+		// stores, which measured about 4% slower.
+		dr, rr := &q.ready[d], &ring[n&m]
+		dr[0], dr[1], dr[2], dr[3] = t0, t1, t2, t3
+		rr[0], rr[1], rr[2], rr[3] = t0, t1, t2, t3
+		l0, l1, l2, l3 = max(l0, t0), max(l1, t1), max(l2, t2), max(l3, t3)
+		n++
 	}
-	w.pos, w.count, w.lastDone = pos, count, lastDone
+	q.lastDone = [lanes]int64{l0, l1, l2, l3}
 }
 
-func (w *windowModel) ipc() float64 {
-	if w.count == 0 || w.lastDone == 0 {
-		return 0
-	}
-	return float64(w.count) / float64(w.lastDone)
+func (q *quad) reset() {
+	clear(q.ready[:])
+	clear(q.ring)
+	q.lastDone = [lanes]int64{}
 }
 
-func (w *windowModel) reset() {
-	clear(w.regReady[:])
-	clear(w.complete)
-	w.pos = 0
-	w.count = 0
-	w.lastDone = 0
-}
-
-// Analyzer measures ideal IPC for a set of window sizes simultaneously.
-// The window models are stored by value, contiguously, so walking them on
-// the hot path touches one slab rather than chasing pointers.
+// Analyzer measures ideal IPC for a set of window sizes simultaneously,
+// scheduling them four at a time in quads.
 type Analyzer struct {
-	windows []windowModel
+	quads   []quad
+	windows int    // configured window count
+	count   uint64 // instructions recorded since the last Reset
 }
 
 // NewAnalyzer builds an analyzer for the given window sizes (typically
@@ -186,47 +157,54 @@ func NewAnalyzer(windows []int) (*Analyzer, error) {
 	if len(windows) == 0 {
 		return nil, fmt.Errorf("ilp: no window sizes")
 	}
-	a := &Analyzer{}
 	for _, w := range windows {
 		if w <= 0 {
 			return nil, fmt.Errorf("ilp: non-positive window size %d", w)
 		}
-		a.windows = append(a.windows, newWindowModel(w))
+	}
+	a := &Analyzer{windows: len(windows)}
+	for i := 0; i < len(windows); i += lanes {
+		a.quads = append(a.quads, newQuad(windows[i:min(i+lanes, len(windows))]))
 	}
 	return a, nil
 }
 
 // Record schedules one instruction in every window model.
 func (a *Analyzer) Record(ins *isa.Instruction) {
-	for i := range a.windows {
-		a.windows[i].record(ins)
+	for i := range a.quads {
+		a.quads[i].record(ins, a.count)
 	}
+	a.count++
 }
 
-// RecordBatch schedules a block of instructions. It runs window-major —
-// the whole batch through window 32, then 64, and so on — which keeps
-// each model's register scoreboard and completion ring hot for the length
-// of the batch. The windows are mutually independent, so the result is
-// identical to instruction-major Record calls.
+// RecordBatch schedules a block of instructions, identical to calling
+// Record on each. It runs instruction-major: every window advances by one
+// instruction before the next is decoded, so the windows' dependency
+// chains overlap instead of running back to back, and all their state
+// stays resident in L1.
 func (a *Analyzer) RecordBatch(batch []isa.Instruction) {
-	for i := range a.windows {
-		a.windows[i].recordBatch(batch)
+	for i := range a.quads {
+		a.quads[i].recordBatch(batch, a.count)
 	}
+	a.count += uint64(len(batch))
 }
 
 // IPC returns the achieved ideal IPC per configured window, in the order
 // the windows were given.
 func (a *Analyzer) IPC() []float64 {
-	out := make([]float64, len(a.windows))
-	for i := range a.windows {
-		out[i] = a.windows[i].ipc()
+	out := make([]float64, a.windows)
+	for i := range out {
+		if last := a.quads[i/lanes].lastDone[i%lanes]; a.count > 0 && last > 0 {
+			out[i] = float64(a.count) / float64(last)
+		}
 	}
 	return out
 }
 
 // Reset clears all scheduling state.
 func (a *Analyzer) Reset() {
-	for i := range a.windows {
-		a.windows[i].reset()
+	for i := range a.quads {
+		a.quads[i].reset()
 	}
+	a.count = 0
 }

@@ -2,6 +2,7 @@ package ilp
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/isa"
@@ -139,6 +140,86 @@ func TestStandardWindows(t *testing.T) {
 	for i, w := range want {
 		if StandardWindows[i] != w {
 			t.Fatalf("StandardWindows = %v, want %v", StandardWindows, want)
+		}
+	}
+}
+
+// randomStream returns n instructions with random op classes, source
+// counts and registers, the zero register included. Source slots past
+// NSrc hold junk, which both paths must ignore.
+func randomStream(rng *rand.Rand, n int) []isa.Instruction {
+	out := make([]isa.Instruction, n)
+	reg := func() uint8 {
+		if rng.Intn(5) == 0 {
+			return isa.ZeroReg
+		}
+		// Mostly a few hot registers, so short dependences are common.
+		if rng.Intn(2) == 0 {
+			return uint8(1 + rng.Intn(4))
+		}
+		return uint8(rng.Intn(isa.NumRegs))
+	}
+	for i := range out {
+		ins := &out[i]
+		ins.Op = isa.OpClass(rng.Intn(isa.NumOpClasses))
+		ins.Dst = reg()
+		ins.NSrc = uint8(rng.Intn(isa.MaxSrcRegs + 1))
+		for s := range ins.Src {
+			if s < int(ins.NSrc) {
+				ins.Src[s] = reg()
+			} else {
+				ins.Src[s] = uint8(rng.Intn(256))
+			}
+		}
+	}
+	return out
+}
+
+// TestRecordBatchMatchesRecord is the property backing RecordBatch: for
+// any stream, any window set NewAnalyzer accepts and any chunking, the
+// batch path reports IPCs bit-identical to per-instruction Record — also
+// when the two are interleaved on one analyzer, since they share state.
+func TestRecordBatchMatchesRecord(t *testing.T) {
+	windowSets := [][]int{
+		StandardWindows,
+		{1, 3, 32, 100, 256},
+		{5},
+		{256, 32, 7, 7},
+		{1, 2, 3, 4, 5, 6, 7, 8, 9},
+		{1000, 33},
+	}
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 60; trial++ {
+		windows := windowSets[trial%len(windowSets)]
+		stream := randomStream(rng, 1+rng.Intn(3000))
+		interleave := trial%3 == 2
+		scalar := mustAnalyzer(t, windows)
+		batched := mustAnalyzer(t, windows)
+		for round := 0; round < 2; round++ {
+			// The second round reuses both analyzers after Reset.
+			scalar.Reset()
+			batched.Reset()
+			for i := range stream {
+				scalar.Record(&stream[i])
+			}
+			for lo := 0; lo < len(stream); {
+				hi := min(len(stream), lo+rng.Intn(700))
+				if interleave && rng.Intn(2) == 0 {
+					for i := lo; i < hi; i++ {
+						batched.Record(&stream[i])
+					}
+				} else {
+					batched.RecordBatch(stream[lo:hi])
+				}
+				lo = hi
+			}
+			want, got := scalar.IPC(), batched.IPC()
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("trial %d round %d windows %v interleaved %v: window %d IPC %v batched, %v scalar",
+						trial, round, windows, interleave, windows[i], got[i], want[i])
+				}
+			}
 		}
 	}
 }

@@ -3,6 +3,7 @@ package ppm
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // Outcome is one resolved conditional branch, the unit of work for
@@ -22,17 +23,29 @@ type Outcome struct {
 // configured length from it — identical results to independent Predictor
 // instances at a fraction of the cost.
 //
-// Entry storage is a small open-addressing hash map keyed by the
-// direct-mapped table index (order << tableBits | hashed context), not the
-// multi-megabyte direct-mapped slab itself. One interval touches a few
+// The group never allocates the multi-megabyte direct-mapped slab the
+// predictor's tables describe unless it must: one interval touches a few
 // thousand distinct entries out of ~200K slots, so the slab's cache
-// behavior is dreadful: every access lands on its own cache line (4 live
-// bytes out of 64). The map packs the same entries 8 bytes apiece into a
-// contiguous table that fits in L2. Aliasing is untouched — two contexts
-// collide if and only if they produce the same direct-mapped index, which
-// is the map key — so the results are bit-identical to the slab. If an
-// interval overflows maxSlots the group spills the map into a real slab
-// and finishes the interval there, preserving exactness at any scale.
+// behavior is dreadful (every access lands on its own cache line, 4 live
+// bytes out of 64). Which compact layout it uses instead follows from its
+// construction parameters:
+//
+//   - Dense (global tables, longest history <= denseMaxHist: GAg, PAg).
+//     The table index depends on (order, context) alone, so at most
+//     2^(denseMaxHist+1)-1 distinct indices exist. Each gets one packed
+//     counter in a dense array of at most 32 KiB, addressed through a
+//     process-wide, read-only remap from (order, context) to counter
+//     slot. Contexts whose direct-mapped indices collide share a slot.
+//   - Map (per-address tables, or longer histories: GAs, PAs). The branch
+//     address is part of the index, so entries live in a small
+//     open-addressing hash map keyed by the direct-mapped index (order <<
+//     tableBits | hashed context), packed 8 bytes apiece into a table
+//     that fits in L2. If an interval overflows maxSlots the group spills
+//     the map into a real slab and finishes the interval there.
+//
+// Either way two contexts share an entry if and only if they produce the
+// same direct-mapped index, so aliasing — and every result — is
+// bit-identical to the slab.
 type Group struct {
 	histScope  Scope
 	tableScope Scope
@@ -42,7 +55,13 @@ type Group struct {
 	mask      uint64
 	tableBits uint
 
-	// Map mode: slot = idx<<32 | entry. A slot is empty iff it is zero —
+	// Dense layout: the order-o context ctx's entry is
+	// counters[remap[1<<o|ctx]]. remap is shared between groups; nil
+	// selects the map layout.
+	remap    []uint16
+	counters []uint32
+
+	// Map layout: slot = idx<<32 | entry. A slot is empty iff it is zero —
 	// every stored entry has total >= 1, and a zero entry is semantically
 	// identical to an absent one. Grown by doubling at 50% load.
 	slots  []uint64
@@ -74,6 +93,51 @@ type Group struct {
 	pending  []int8
 }
 
+// denseMaxHist is the longest history a global-table group keeps in the
+// dense layout: its 2^13-1 (order, context) pairs need at most 8,191
+// counters, 32 KiB.
+const denseMaxHist = 12
+
+// denseRemap maps an (order, context) pair, as 1<<order | context, to a
+// counter slot for one table size. Slots are numbered order by order, so
+// the slots of orders 0..h are exactly 0..ends[h]-1 and one remap serves
+// every longest history up to denseMaxHist.
+type denseRemap struct {
+	once sync.Once
+	slot []uint16
+	ends [denseMaxHist + 1]int
+}
+
+// denseRemaps holds one lazily built remap per table size.
+var denseRemaps [maxTableBits + 1]denseRemap
+
+// remapFor returns the shared remap for tableBits, building it on first
+// use.
+func remapFor(tableBits uint) *denseRemap {
+	r := &denseRemaps[tableBits]
+	r.once.Do(func() {
+		mask := uint64(1)<<tableBits - 1
+		r.slot = make([]uint16, 2<<denseMaxHist)
+		first := make(map[uint64]uint16)
+		n := 0
+		for o := 0; o <= denseMaxHist; o++ {
+			clear(first)
+			for ctx := uint64(0); ctx < 1<<o; ctx++ {
+				idx := mix64(ctx<<6^uint64(o)) & mask
+				s, ok := first[idx]
+				if !ok {
+					s = uint16(n)
+					first[idx] = s
+					n++
+				}
+				r.slot[1<<o|ctx] = s
+			}
+			r.ends[o] = n
+		}
+	})
+	return r
+}
+
 // NewGroup builds a grouped predictor for the given history lengths
 // (typically {4, 8, 12}).
 func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group, error) {
@@ -88,8 +152,8 @@ func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group
 	if tableBits == 0 {
 		tableBits = 14
 	}
-	if tableBits < 4 || tableBits > 24 {
-		return nil, fmt.Errorf("ppm: table bits %d out of [4,24]", tableBits)
+	if tableBits < minTableBits || tableBits > maxTableBits {
+		return nil, fmt.Errorf("ppm: table bits %d out of [%d,%d]", tableBits, minTableBits, maxTableBits)
 	}
 	g := &Group{
 		histScope:  histScope,
@@ -99,8 +163,14 @@ func NewGroup(histScope, tableScope Scope, lengths []int, tableBits int) (*Group
 		mask:       1<<uint(tableBits) - 1,
 		tableBits:  uint(tableBits),
 		misses:     make([]uint64, len(ls)),
-		slots:      make([]uint64, 1<<12),
-		maxSlots:   1 << 16,
+	}
+	if tableScope == Global && g.maxHist <= denseMaxHist {
+		r := remapFor(g.tableBits)
+		g.remap = r.slot
+		g.counters = make([]uint32, r.ends[g.maxHist])
+	} else {
+		g.slots = make([]uint64, 1<<12)
+		g.maxSlots = 1 << 16
 	}
 	if histScope == PerAddress {
 		const localBits = 10
@@ -122,6 +192,7 @@ func (g *Group) Name() string {
 // grown capacity; the slab (if any) was cleared when it was entered, so
 // dropping back to map mode is all a spilled interval needs.
 func (g *Group) Reset() {
+	clear(g.counters)
 	clear(g.slots)
 	g.nslots = 0
 	g.inSlab = false
@@ -136,9 +207,23 @@ func (g *Group) Reset() {
 // bits in.
 func slotHash(idx uint64) uint64 { return idx * 0x9e3779b97f4a7c15 }
 
-// loadEntry returns the packed counters for idx, zero if unseen this
-// interval.
+// entryKey returns the storage key of the order-o entry for a branch
+// with history hist and pc hash term pcTerm: the counter slot in the
+// dense layout, the direct-mapped table index otherwise.
+func (g *Group) entryKey(o int, hist, pcTerm uint64) uint64 {
+	ctx := hist & (1<<uint(o) - 1)
+	if g.remap != nil {
+		return uint64(g.remap[1<<uint(o)|ctx])
+	}
+	return uint64(o)<<g.tableBits + (mix64(ctx<<6^uint64(o)^pcTerm) & g.mask)
+}
+
+// loadEntry returns the packed counters of the entry with key idx (see
+// entryKey), zero if unseen this interval.
 func (g *Group) loadEntry(idx uint64) uint32 {
+	if g.remap != nil {
+		return g.counters[idx]
+	}
 	if g.inSlab {
 		return g.slab[idx]
 	}
@@ -158,9 +243,13 @@ func (g *Group) loadEntry(idx uint64) uint32 {
 	}
 }
 
-// storeEntry writes the updated counters for idx. wasZero marks a first
-// touch (a map insert).
+// storeEntry writes the updated counters of the entry with key idx.
+// wasZero marks a first touch (a map insert).
 func (g *Group) storeEntry(idx uint64, e uint32, wasZero bool) {
+	if g.remap != nil {
+		g.counters[idx] = e
+		return
+	}
 	if g.inSlab {
 		g.slab[idx] = e
 		return
@@ -259,8 +348,7 @@ func (g *Group) record(hist, pcTerm uint64, taken bool) {
 	misses := g.misses
 	pending := len(lengths) - 1
 	for o := g.maxHist; o >= 0; o-- {
-		ctx := hist & (1<<uint(o) - 1)
-		idx := uint64(o)<<g.tableBits + (mix64(ctx<<6^uint64(o)^pcTerm) & g.mask)
+		idx := g.entryKey(o, hist, pcTerm)
 		e := g.loadEntry(idx)
 		taken16, total16 := uint16(e>>16), uint16(e)
 
@@ -387,12 +475,61 @@ func (g *Group) RecordAll(outcomes []Outcome) {
 
 // recordOrder runs one order's predict+update pass over a staged batch.
 func (g *Group) recordOrder(o int, takens []uint16, hists, pcs []uint64, pending []int8) {
+	if g.remap != nil {
+		g.recordOrderDense(o, takens, hists, pending)
+		return
+	}
 	i := 0
 	if !g.inSlab {
 		i = g.recordOrderMap(o, takens, hists, pcs, pending)
 	}
 	if i < len(takens) {
 		g.recordOrderSlab(o, takens[i:], hists[i:], pcs[i:], pending[i:])
+	}
+}
+
+// recordOrderDense is the dense-layout pass. Its predict+update step
+// repeats the map and slab passes' inline: as a shared function the
+// compiler will not inline, the step costs about a quarter more.
+func (g *Group) recordOrderDense(o int, takens []uint16, hists []uint64, pending []int8) {
+	remap := g.remap[1<<uint(o) : 2<<uint(o)] // order o's contexts
+	ctxMask := uint64(len(remap) - 1)
+	counters := g.counters
+	lengths := g.lengths
+	misses := g.misses
+	for i := range takens {
+		takenInc := takens[i]
+		taken := takenInc != 0
+		slot := remap[hists[i]&ctxMask]
+		e := counters[slot]
+		taken16, total16 := uint16(e>>16), uint16(e)
+
+		if total16 != 0 {
+			p := pending[i]
+			if p >= 0 && lengths[p] >= o {
+				pred := 2*uint32(taken16) >= uint32(total16)
+				for {
+					var mi uint64
+					if pred != taken {
+						mi = 1
+					}
+					misses[p] += mi
+					p--
+					if p < 0 || lengths[p] < o {
+						break
+					}
+				}
+				pending[i] = p
+			}
+		}
+
+		if total16 == entryMax {
+			taken16 /= 2
+			total16 /= 2
+		}
+		total16++
+		taken16 += takenInc
+		counters[slot] = uint32(taken16)<<16 | uint32(total16)
 	}
 }
 

@@ -70,6 +70,12 @@ type entry struct {
 
 const entryMax = 1<<16 - 1
 
+// Accepted table sizes, in index bits.
+const (
+	minTableBits = 4
+	maxTableBits = 24
+)
+
 // Predictor is a PPM predictor instance. The zero value is not usable; use
 // New.
 type Predictor struct {
@@ -93,8 +99,8 @@ func New(cfg Config) (*Predictor, error) {
 	if cfg.TableBits == 0 {
 		cfg.TableBits = 14
 	}
-	if cfg.TableBits < 4 || cfg.TableBits > 24 {
-		return nil, fmt.Errorf("ppm: table bits %d out of [4,24]", cfg.TableBits)
+	if cfg.TableBits < minTableBits || cfg.TableBits > maxTableBits {
+		return nil, fmt.Errorf("ppm: table bits %d out of [%d,%d]", cfg.TableBits, minTableBits, maxTableBits)
 	}
 	p := &Predictor{
 		cfg:  cfg,

@@ -2,6 +2,7 @@ package ppm
 
 import (
 	"math"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -357,8 +358,10 @@ func TestGroupSpillMatchesReference(t *testing.T) {
 	}
 	groups := StandardGroups()
 	for gi := range groups {
-		groups[gi].slots = make([]uint64, 1<<8)
-		groups[gi].maxSlots = 1 << 9
+		if groups[gi].remap == nil { // the dense layout never spills
+			groups[gi].slots = make([]uint64, 1<<8)
+			groups[gi].maxSlots = 1 << 9
+		}
 	}
 	for round := 0; round < 2; round++ {
 		preds := newPreds()
@@ -391,4 +394,113 @@ func TestGroupSpillMatchesReference(t *testing.T) {
 			t.Fatalf("round %d: no group spilled; test is vacuous", round)
 		}
 	}
+}
+
+// TestGroupLayoutFollowsParameters pins which groups take the dense
+// layout: global tables with histories up to denseMaxHist, and nothing
+// else.
+func TestGroupLayoutFollowsParameters(t *testing.T) {
+	groups := StandardGroups()
+	for i := range groups {
+		g := &groups[i]
+		if dense := g.remap != nil; dense != (g.tableScope == Global) {
+			t.Errorf("%s: dense layout = %v", g.Name(), dense)
+		}
+		if g.remap != nil && len(g.counters) > 1<<(denseMaxHist+1)-1 {
+			t.Errorf("%s: %d dense counters, more than the %d contexts", g.Name(), len(g.counters), 1<<(denseMaxHist+1)-1)
+		}
+	}
+	long, err := NewGroup(Global, Global, []int{4, denseMaxHist + 1}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if long.remap != nil {
+		t.Errorf("history %d took the dense layout", denseMaxHist+1)
+	}
+}
+
+// TestDenseGroupAliasingMatchesPredictor runs global-table groups at
+// table sizes small enough that many contexts of one order collide, and
+// checks the dense counters alias exactly as the reference predictors'
+// direct-mapped tables do, on the scalar and the batch path.
+func TestDenseGroupAliasingMatchesPredictor(t *testing.T) {
+	stream := outcomeStream(5, 6000)
+	for _, tableBits := range []int{4, 6, 9, 14} {
+		for _, hist := range []Scope{Global, PerAddress} {
+			lengths := []int{0, 3, 7, denseMaxHist}
+			scalar, err := NewGroup(hist, Global, lengths, tableBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			batched, err := NewGroup(hist, Global, lengths, tableBits)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if scalar.remap == nil {
+				t.Fatalf("table bits %d: global-table group not dense", tableBits)
+			}
+			var preds []*Predictor
+			for _, h := range lengths {
+				preds = append(preds, mustNew(t, Config{HistoryScope: hist, TableScope: Global, MaxHistory: h, TableBits: tableBits}))
+			}
+			for _, o := range stream {
+				scalar.Record(o.PC, o.Taken)
+				for _, p := range preds {
+					p.Record(o.PC, o.Taken)
+				}
+			}
+			for lo := 0; lo < len(stream); lo += 257 {
+				batched.RecordAll(stream[lo:min(lo+257, len(stream))])
+			}
+			sr, br := scalar.MissRates(), batched.MissRates()
+			for i, p := range preds {
+				if sr[i] != p.MissRate() || br[i] != p.MissRate() {
+					t.Fatalf("%s table bits %d history %d: Record %v, RecordAll %v, predictor %v",
+						scalar.Name(), tableBits, lengths[i], sr[i], br[i], p.MissRate())
+				}
+			}
+		}
+	}
+}
+
+// TestDenseRemapConcurrentFirstUse builds groups for a table size no other
+// test uses from several goroutines at once: the shared remap is built
+// exactly once and every group sees it whole (run under -race).
+func TestDenseRemapConcurrentFirstUse(t *testing.T) {
+	const tableBits = 11
+	stream := outcomeStream(8, 2000)
+	var want []float64
+	for _, h := range []int{4, 8, 12} {
+		p := mustNew(t, Config{HistoryScope: Global, TableScope: Global, MaxHistory: h, TableBits: tableBits})
+		for _, o := range stream {
+			p.Record(o.PC, o.Taken)
+		}
+		want = append(want, p.MissRate())
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			g, err := NewGroup(PerAddress, Global, []int{4, 8, 12}, tableBits)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g.RecordAll(stream)
+			g.Reset()
+			g2, err := NewGroup(Global, Global, []int{4, 8, 12}, tableBits)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			g2.RecordAll(stream)
+			for i, r := range g2.MissRates() {
+				if r != want[i] {
+					t.Errorf("length %d: miss rate %v, want %v", g2.Lengths()[i], r, want[i])
+				}
+			}
+		}()
+	}
+	wg.Wait()
 }

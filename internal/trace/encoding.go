@@ -58,8 +58,21 @@ func (w *Writer) uvarint(v uint64) error {
 	return err
 }
 
-// Write appends one instruction to the stream.
+// Write appends one instruction to the stream. An instruction the format
+// cannot represent, or that Reader would reject, is refused before
+// anything is written.
 func (w *Writer) Write(ins *isa.Instruction) error {
+	if ins.NSrc > isa.MaxSrcRegs {
+		return fmt.Errorf("trace: instruction with %d sources", ins.NSrc)
+	}
+	if ins.Dst >= isa.NumRegs {
+		return fmt.Errorf("trace: destination register %d out of range", ins.Dst)
+	}
+	for _, r := range ins.Sources() {
+		if r >= isa.NumRegs {
+			return fmt.Errorf("trace: source register %d out of range", r)
+		}
+	}
 	if !w.started {
 		if _, err := w.w.Write(traceMagic[:]); err != nil {
 			return err
@@ -75,9 +88,6 @@ func (w *Writer) Write(ins *isa.Instruction) error {
 	}
 	if err := w.w.WriteByte(ins.Dst); err != nil {
 		return err
-	}
-	if ins.NSrc > isa.MaxSrcRegs {
-		return fmt.Errorf("trace: instruction with %d sources", ins.NSrc)
 	}
 	if err := w.w.WriteByte(ins.NSrc); err != nil {
 		return err
@@ -138,12 +148,15 @@ func NewReader(r io.Reader) *Reader {
 }
 
 // Next decodes the next instruction into ins. It returns io.EOF at the
-// clean end of the stream and ErrBadTrace on corruption.
+// clean end of the stream and ErrBadTrace on corruption. An instruction it
+// returns is well formed — a known op class, at most isa.MaxSrcRegs
+// sources, every register below isa.NumRegs — so it can go straight to the
+// analyzer.
 func (r *Reader) Next(ins *isa.Instruction) error {
 	if !r.started {
 		var magic [4]byte
 		if _, err := io.ReadFull(r.r, magic[:]); err != nil {
-			if err == io.EOF {
+			if err == io.EOF || err == io.ErrUnexpectedEOF {
 				return fmt.Errorf("%w: missing header", ErrBadTrace)
 			}
 			return err
@@ -177,6 +190,9 @@ func (r *Reader) Next(ins *isa.Instruction) error {
 	if ins.Dst, err = r.r.ReadByte(); err != nil {
 		return fmt.Errorf("%w: truncated dst", ErrBadTrace)
 	}
+	if ins.Dst >= isa.NumRegs {
+		return fmt.Errorf("%w: destination register %d", ErrBadTrace, ins.Dst)
+	}
 	nsrc, err := r.r.ReadByte()
 	if err != nil {
 		return fmt.Errorf("%w: truncated nsrc", ErrBadTrace)
@@ -188,6 +204,9 @@ func (r *Reader) Next(ins *isa.Instruction) error {
 	for i := 0; i < int(nsrc); i++ {
 		if ins.Src[i], err = r.r.ReadByte(); err != nil {
 			return fmt.Errorf("%w: truncated src", ErrBadTrace)
+		}
+		if ins.Src[i] >= isa.NumRegs {
+			return fmt.Errorf("%w: source register %d", ErrBadTrace, ins.Src[i])
 		}
 	}
 

@@ -169,3 +169,56 @@ func TestTraceRejectsOversizedNSrc(t *testing.T) {
 		t.Fatal("oversized NSrc accepted")
 	}
 }
+
+func TestTraceRejectsOutOfRangeRegisters(t *testing.T) {
+	for i, bad := range []isa.Instruction{
+		{Op: isa.OpIntAdd, Dst: isa.NumRegs},
+		{Op: isa.OpIntAdd, Dst: 200},
+		{Op: isa.OpIntAdd, NSrc: 1, Src: [isa.MaxSrcRegs]uint8{isa.NumRegs}},
+		{Op: isa.OpIntAdd, NSrc: 3, Src: [isa.MaxSrcRegs]uint8{1, 2, 99}},
+		{Op: isa.OpIntAdd, NSrc: isa.MaxSrcRegs + 1},
+	} {
+		var buf bytes.Buffer
+		w := NewWriter(&buf)
+		if err := w.Write(&bad); err == nil {
+			t.Errorf("case %d: Write accepted %+v", i, bad)
+		}
+		// A refused instruction leaves the stream untouched.
+		if err := w.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(buf.Bytes(), traceMagic[:]) {
+			t.Errorf("case %d: refused instruction still wrote %q", i, buf.Bytes())
+		}
+	}
+	// Registers past NSrc are not encoded, so they are not checked.
+	var buf bytes.Buffer
+	ok := isa.Instruction{Op: isa.OpIntAdd, Dst: isa.NumRegs - 1, NSrc: 1, Src: [isa.MaxSrcRegs]uint8{isa.NumRegs - 1, 200}}
+	if err := NewWriter(&buf).Write(&ok); err != nil {
+		t.Fatalf("Write rejected %v: %v", &ok, err)
+	}
+}
+
+func TestTraceReaderRejectsOutOfRangeRegisters(t *testing.T) {
+	op := byte(isa.OpIntAdd)
+	for _, tc := range []struct {
+		name string
+		body []byte // after the magic: pc delta, op, dst, nsrc, sources
+	}{
+		{"dst", []byte{0, op, isa.NumRegs, 0}},
+		{"dst and src", []byte{0, op, 200, 1, 99}},
+		{"second src", []byte{0, op, 1, 2, 3, isa.NumRegs}},
+	} {
+		r := NewReader(bytes.NewReader(append(traceMagic[:], tc.body...)))
+		var ins isa.Instruction
+		if err := r.Next(&ins); !errors.Is(err, ErrBadTrace) {
+			t.Errorf("%s: Next = %v, want ErrBadTrace", tc.name, err)
+		}
+	}
+	// The largest register decodes.
+	r := NewReader(bytes.NewReader(append(traceMagic[:], 0, op, isa.NumRegs-1, 1, isa.NumRegs-1)))
+	var ins isa.Instruction
+	if err := r.Next(&ins); err != nil {
+		t.Fatalf("Next rejected register %d: %v", isa.NumRegs-1, err)
+	}
+}

@@ -468,10 +468,11 @@ func (g *Generator) NextBatch(batch []isa.Instruction) {
 }
 
 // DefaultBatchSize is the block size the batched generate→measure kernel
-// uses by default: large enough to amortize per-block overhead to nothing,
-// small enough that a block of instructions stays resident in L2 while the
-// analyzer's per-subsystem passes sweep it.
-const DefaultBatchSize = 4096
+// uses by default: large enough to amortize per-block overhead, small
+// enough that a block of instructions (40 bytes each, 20 KiB in all) stays
+// in L1d (32-48 KiB on current x86 cores) beside the analyzer's ILP state
+// while its passes sweep it.
+const DefaultBatchSize = 512
 
 // GenerateIntervalBatches runs a fresh generator for b with the given seed
 // over length instructions, filling buf repeatedly and invoking consume for

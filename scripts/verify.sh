@@ -1,8 +1,9 @@
 #!/bin/sh
-# Repo verification gate: build, vet, the full test suite, the race
-# detector over every package, short fuzz runs over every binary
-# decoder, the shard-merge/resume equivalence check on the quick
-# pipeline, the incremental append byte-identity gate, the distributed
+# Repo verification gate: build, vet, the full test suite, vet and
+# smoke tests of the benchmark module, the race detector over every
+# package, short fuzz runs over every binary decoder, the
+# shard-merge/resume equivalence check on the quick pipeline, the
+# incremental append byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
 # as declarative model files and reloaded runs byte-identically, and the
@@ -43,6 +44,13 @@ go vet ./...
 echo "== go test ./... (tier-1)"
 go test ./...
 
+echo "== perfbench: go vet + go test (separate module)"
+# The benchmark is its own module and calls the kernel APIs directly
+# (trace batches, ILP and PPM replays), so the root build does not
+# compile it: build and smoke-test it here so a break there fails the
+# gate. Its smoke test also pins BENCHMARK.json to the program.
+(cd perfbench && GOWORK=off go vet ./... && GOWORK=off go test ./...)
+
 echo "== go test -race ./..."
 go test -race -count=1 ./...
 
@@ -69,6 +77,7 @@ FuzzShardResponse ./internal/shardnet/
 FuzzDecodeModels ./internal/bench/
 FuzzCorpusSegment ./internal/corpus/
 FuzzCorpusManifest ./internal/corpus/
+FuzzTraceReader ./internal/trace/
 EOF
 
 echo "== allocation gate (BenchmarkCharacterizeCached)"
