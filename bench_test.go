@@ -368,10 +368,6 @@ func BenchmarkCharacterize(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := benchConfig()
-	// An installed collector keeps every iteration on the real cold
-	// path: observed runs bypass the in-process dataset memo, and this
-	// benchmark exists to price the generate+measure substrate.
-	cfg.Metrics = obs.New()
 	if err := cfg.Validate(); err != nil {
 		b.Fatal(err)
 	}
@@ -390,8 +386,8 @@ func BenchmarkCharacterize(b *testing.B) {
 }
 
 // BenchmarkCharacterizeCached measures the cache-warm characterization
-// path: one untimed cold run populates the interval-vector cache, then
-// every timed iteration is served entirely from it (verified via
+// path: one untimed cold run populates the cache, then every timed
+// iteration is served entirely from its dataset artifact (verified via
 // CacheHits) — no interval is generated at all.
 func BenchmarkCharacterizeCached(b *testing.B) {
 	reg, err := bench.StandardRegistry()
@@ -455,12 +451,8 @@ func BenchmarkCharacterizeAppend(b *testing.B) {
 	base := benchConfig()
 
 	b.Run("cold", func(b *testing.B) {
-		cfg := base
-		// An installed collector keeps every iteration on the real cold
-		// path (no in-process dataset memo).
-		cfg.Metrics = obs.New()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.Run(reg, cfg, nil); err != nil {
+			if _, err := core.Run(reg, base, nil); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -501,8 +493,6 @@ func BenchmarkFullPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	cfg := benchConfig()
-	// Keep each iteration a true end-to-end run (see BenchmarkCharacterize).
-	cfg.Metrics = obs.New()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Run(reg, cfg, nil)

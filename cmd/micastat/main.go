@@ -14,9 +14,12 @@
 //	micastat -per-interval SPECint2006/astar
 //	micastat -timeline -cache .cache -incremental SPECint2006/astar
 //
-// With -incremental the timeline's interval vectors fold into the
-// benchmark's cached running summary: reruns fold nothing, and a deeper
-// timeline (larger -max-intervals) folds exactly the intervals it adds.
+// With -cache the -timeline analysis persists as one artifact: a rerun
+// with the same settings loads it, and a rerun with other settings reuses
+// the cached interval vectors. With -incremental the timeline's interval
+// vectors also fold into the benchmark's cached running summary: reruns
+// fold nothing, and a deeper timeline (larger -max-intervals) folds
+// exactly the intervals it adds.
 package main
 
 import (
@@ -53,8 +56,7 @@ func run() (err error) {
 		traceFile    = flag.String("trace", "", "characterize a binary trace file instead of a benchmark model")
 		list         = flag.Bool("list", false, "list available benchmarks and exit")
 		models       = flag.String("models", "", "workload-model file or directory of *.json files: loaded suites replace same-named built-in suites and append otherwise")
-		cacheDir     = flag.String("cache", "", "interval-vector cache directory for -timeline analysis (empty: no cache)")
-		resume       = flag.Bool("resume", false, "serve the whole -timeline analysis from its cached stage artifact when present and valid (requires -cache)")
+		cacheDir     = flag.String("cache", "", "artifact cache directory for -timeline analysis: a rerun loads the cached timeline or reuses its interval vectors (empty: no cache)")
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file")
 		obsFlags     = cliobs.RegisterObsFlags(flag.CommandLine)
@@ -63,11 +65,9 @@ func run() (err error) {
 	flag.Parse()
 	if *cacheDir != "" && !*timeline {
 		// Refusing beats silently running uncached: the cache only holds
-		// characterized interval vectors, which only -timeline consumes.
-		return fmt.Errorf("-cache requires -timeline (the cache stores the timeline's characterized interval vectors)")
-	}
-	if *resume && *cacheDir == "" {
-		return fmt.Errorf("-resume requires -cache (the timeline stage artifact is stored there)")
+		// timeline artifacts and interval vectors, which only -timeline
+		// consumes.
+		return fmt.Errorf("-cache requires -timeline (the cache stores the timeline analysis and its interval vectors)")
 	}
 	if *incremental && (!*timeline || *cacheDir == "") {
 		return fmt.Errorf("-incremental requires -timeline and -cache (it folds the timeline's interval vectors into the benchmark's cached running summary)")
@@ -133,7 +133,6 @@ func run() (err error) {
 		cfg.MaxIntervalsPerBenchmark = *maxIntervals
 		cfg.Workers = *workers
 		cfg.CacheDir = *cacheDir
-		cfg.Resume = *resume
 		cfg.Metrics = m
 		tl, err := core.AnalyzeTimeline(b, cfg, 8)
 		if err != nil {

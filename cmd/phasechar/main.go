@@ -15,14 +15,15 @@
 //	phasechar -out results fig4
 //	phasechar -paper-scale -out results all
 //
-// The characterization stage can be split across processes and the
-// analysis resumed from persisted stage artifacts:
+// With -cache every stage persists its artifact and looks it up before
+// computing, so a rerun with the same config recomputes nothing. The
+// characterization stage can also be split across processes:
 //
 //	phasechar -cache .cache -shard 0/3 shard     # one worker per shard
 //	phasechar -cache .cache -shard 1/3 shard
 //	phasechar -cache .cache -shard 2/3 shard
 //	phasechar -cache .cache -merge 3 export      # merge + analysis
-//	phasechar -cache .cache -resume export       # rerun: recomputes nothing
+//	phasechar -cache .cache export               # rerun: recomputes nothing
 //
 // Or split across machines with no shared filesystem: each worker runs a
 // shard server, and the coordinator ships shards over HTTP (the result is
@@ -118,10 +119,9 @@ func run() (err error) {
 		paperScale  = flag.Bool("paper-scale", false, "use larger, closer-to-paper parameters (slower)")
 		quick       = flag.Bool("quick", false, "use small, fast parameters (for smoke runs)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
-		cacheDir    = flag.String("cache", "", "interval-vector cache directory: characterized vectors persist across runs and matching intervals skip regeneration entirely (empty: no cache)")
+		cacheDir    = flag.String("cache", "", "artifact cache directory: interval vectors and every stage's output persist across runs, and a rerun loads each valid artifact instead of recomputing it (empty: no cache)")
 		shardSpec   = flag.String("shard", "", "with the 'shard' target: characterize only shard i/n of the benchmarks (e.g. 0/3) and persist it as a shard artifact in -cache")
 		mergeN      = flag.Int("merge", 0, "assemble the characterization from n shard artifacts in -cache (computing any missing shard locally) before the analysis stages")
-		resume      = flag.Bool("resume", false, "skip every pipeline stage whose artifact is already in -cache and valid (a rerun with the same config recomputes nothing)")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file")
 		serveAddr   = flag.String("addr", "127.0.0.1:0", "with the 'serve' target: address to serve shard requests on (port 0: ephemeral)")
@@ -146,13 +146,13 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	// The shard/merge/resume workflow lives in the cache; refusing early
-	// beats a misleading in-memory run that persists nothing.
+	// The shard/merge workflow lives in the cache; refusing early beats a
+	// misleading in-memory run that persists nothing.
 	if *shardSpec != "" && *mergeN > 0 {
 		return fmt.Errorf("-shard and -merge are different halves of the workflow: shard in worker runs, merge in the final run")
 	}
-	if (*shardSpec != "" || *mergeN > 0 || *resume) && *cacheDir == "" {
-		return fmt.Errorf("-shard, -merge and -resume need -cache (shard and stage artifacts are stored there)")
+	if (*shardSpec != "" || *mergeN > 0) && *cacheDir == "" {
+		return fmt.Errorf("-shard and -merge need -cache (shard artifacts are stored there)")
 	}
 	if *mergeN < 0 {
 		return fmt.Errorf("-merge %d: shard count must be positive", *mergeN)
@@ -236,7 +236,6 @@ func run() (err error) {
 	cfg.Seed = *seed
 	cfg.Workers = *workers
 	cfg.CacheDir = *cacheDir
-	cfg.Resume = *resume
 	if *mergeN > 0 {
 		cfg.Shard = core.ShardSpec{Index: 0, Count: *mergeN}
 	}

@@ -62,19 +62,6 @@ var standardSuiteInfos = []SuiteInfo{
 	{SuiteMediaBench, "MediaBench II: media encode/decode workloads", true},
 }
 
-// Suites lists the seven canonical sub-suites in the paper's
-// presentation order.
-//
-// Deprecated: the suite world is open; enumerate a registry's actual
-// suites with Registry.SuiteNames or Registry.SuiteInfos instead.
-func Suites() []Suite {
-	out := make([]Suite, len(standardSuiteInfos))
-	for i, si := range standardSuiteInfos {
-		out[i] = si.Name
-	}
-	return out
-}
-
 // IsStandardSuite reports whether s is one of the paper's seven 2008-era
 // sub-suites (as opposed to a custom or emerging-era suite loaded from
 // model files).
@@ -83,21 +70,6 @@ func IsStandardSuite(s Suite) bool {
 		if si.Name == s {
 			return true
 		}
-	}
-	return false
-}
-
-// IsDomainSpecific reports whether the suite targets a specific application
-// domain (BioPerf, BMW, MediaBench II) rather than general-purpose
-// computing (SPEC CPU).
-//
-// Deprecated: this enum switch only knows the seven canonical suites.
-// Registry.IsDomainSpecific answers from the registry's suite metadata
-// and covers loaded suites too.
-func (s Suite) IsDomainSpecific() bool {
-	switch s {
-	case SuiteBioPerf, SuiteBMW, SuiteMediaBench:
-		return true
 	}
 	return false
 }

@@ -60,19 +60,28 @@ func TestPhaseNamesUnique(t *testing.T) {
 }
 
 func TestIsDomainSpecific(t *testing.T) {
-	if !SuiteBioPerf.IsDomainSpecific() || !SuiteBMW.IsDomainSpecific() || !SuiteMediaBench.IsDomainSpecific() {
+	reg := MustStandardRegistry()
+	if !reg.IsDomainSpecific(SuiteBioPerf) || !reg.IsDomainSpecific(SuiteBMW) || !reg.IsDomainSpecific(SuiteMediaBench) {
 		t.Fatal("domain-specific suites misclassified")
 	}
 	for _, s := range []Suite{SuiteSPECint2000, SuiteSPECfp2000, SuiteSPECint2006, SuiteSPECfp2006} {
-		if s.IsDomainSpecific() {
+		if reg.IsDomainSpecific(s) {
 			t.Fatalf("%s misclassified as domain-specific", s)
 		}
 	}
 }
 
 func TestSuitesOrder(t *testing.T) {
-	if len(Suites()) != 7 {
-		t.Fatalf("Suites() has %d entries", len(Suites()))
+	want := []Suite{SuiteBioPerf, SuiteBMW, SuiteSPECint2000, SuiteSPECfp2000,
+		SuiteSPECint2006, SuiteSPECfp2006, SuiteMediaBench}
+	got := MustStandardRegistry().SuiteNames()
+	if len(got) != len(want) {
+		t.Fatalf("standard registry has %d suites, want the seven canonical ones: %v", len(got), got)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("suite %d is %s, want %s (display order)", i, got[i], want[i])
+		}
 	}
 }
 

@@ -108,6 +108,26 @@ func newArtifactKeys(reg *bench.Registry, cfg Config, rows int) *artifactKeys {
 	return k
 }
 
+// datasetKey names Characterize's whole-dataset artifact. It folds
+// exactly what VectorKey covers per interval — the behavior content hash
+// and interval seed — for every ref in order, plus the interval length,
+// so any change that could alter a single dataset bit changes the key.
+// Its zero seed keeps it disjoint from every engine shard key, whose
+// seed word carries a shard count of at least 1.
+func datasetKey(refs []IntervalRef, cfg Config) fcache.Key {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, r := range refs {
+		h = foldHash(h, r.Bench.BehaviorAt(r.Index, r.Total).BehaviorHash())
+		h = foldHash(h, r.Bench.IntervalSeed(r.Index))
+	}
+	return fcache.Key{
+		Kind:     fcache.KindShard,
+		Version:  artifactVersion(),
+		Behavior: foldHash(h, uint64(len(refs))),
+		Length:   int64(cfg.IntervalLength),
+	}
+}
+
 // shardKey names one characterization shard's dataset artifact.
 func (k *artifactKeys) shardKey(index, count int, benches []int, refCount int) fcache.Key {
 	h := k.params
@@ -259,6 +279,28 @@ type shardArtifact struct {
 	instructions uint64
 }
 
+// newShardArtifact packages deduplicated intervals and their vectors
+// (parallel slices) as a shard artifact: one entry per run of
+// consecutive intervals of the same benchmark, in work order.
+func newShardArtifact(work []IntervalRef, vectors [][]float64, instructions uint64) shardArtifact {
+	art := shardArtifact{instructions: instructions}
+	for i := 0; i < len(work); {
+		b := work[i].Bench
+		j := i
+		for j < len(work) && work[j].Bench == b {
+			j++
+		}
+		sb := shardBench{id: b.ID(), indices: make([]int, 0, j-i), vectors: stats.NewMatrix(j-i, mica.NumMetrics)}
+		for r := i; r < j; r++ {
+			sb.indices = append(sb.indices, work[r].Index)
+			copy(sb.vectors.Row(r-i), vectors[r])
+		}
+		art.benches = append(art.benches, sb)
+		i = j
+	}
+	return art
+}
+
 // uniqueCount is the number of unique intervals the shard holds.
 func (a *shardArtifact) uniqueCount() int {
 	n := 0
@@ -345,6 +387,53 @@ func (a *shardArtifact) UnmarshalBinary(data []byte) error {
 	}
 	a.benches = benches
 	a.instructions = binary.LittleEndian.Uint64(data)
+	return nil
+}
+
+// coveredShard is a shard artifact bound to the deduplicated intervals
+// it must hold (work, in first-appearance order). Decoding checks the
+// payload against work, so a loaded artifact is trusted only when it
+// holds exactly those intervals in that order — the structure
+// newShardArtifact produces and every consumer indexes by.
+type coveredShard struct {
+	shardArtifact
+	work []IntervalRef
+	// rows are the vectors in work order, set by compute or decoding.
+	rows [][]float64
+}
+
+// compute characterizes work into the artifact and returns the
+// vector-cache hit count.
+func (a *coveredShard) compute(cfg Config, cache *fcache.Cache) (int, error) {
+	vectors, instructions, hits, err := characterizeUnique("characterize", a.work, cfg, cache)
+	if err != nil {
+		return 0, err
+	}
+	a.shardArtifact = newShardArtifact(a.work, vectors, instructions)
+	a.rows = vectors
+	return hits, nil
+}
+
+// UnmarshalBinary decodes the shard and checks its coverage of work
+// (encoding.BinaryUnmarshaler).
+func (a *coveredShard) UnmarshalBinary(data []byte) error {
+	if err := a.shardArtifact.UnmarshalBinary(data); err != nil {
+		return err
+	}
+	if got := a.uniqueCount(); got != len(a.work) {
+		return fmt.Errorf("core: shard holds %d unique intervals, want %d", got, len(a.work))
+	}
+	a.rows = make([][]float64, 0, len(a.work))
+	for bi := range a.benches {
+		sb := &a.benches[bi]
+		for j, idx := range sb.indices {
+			r := a.work[len(a.rows)]
+			if idx != r.Index || sb.id != r.Bench.ID() {
+				return fmt.Errorf("core: shard interval %d is %s#%d, want %s", len(a.rows), sb.id, idx, r)
+			}
+			a.rows = append(a.rows, sb.vectors.Row(j))
+		}
+	}
 	return nil
 }
 

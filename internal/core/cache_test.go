@@ -45,9 +45,10 @@ func datasetsBitIdentical(t *testing.T, a, b *Dataset, ctx string) {
 	}
 }
 
-// TestCharacterizeCacheBitIdentical runs the same sample uncached, cache-
-// cold, and cache-warm, and requires all three datasets bit-identical —
-// the cache may only change speed, never a single stored bit.
+// TestCharacterizeCacheBitIdentical runs the same sample uncached,
+// cache-cold and cache-warm, plus a subset of it that only the vector
+// tier can serve, and requires every dataset bit-identical — the cache
+// may only change speed, never a single stored bit.
 func TestCharacterizeCacheBitIdentical(t *testing.T) {
 	refs, cfg := cacheTestSetup(t)
 
@@ -60,12 +61,16 @@ func TestCharacterizeCacheBitIdentical(t *testing.T) {
 	}
 
 	cfg.CacheDir = t.TempDir()
+	cfg.Metrics = obs.New()
 	cold, err := Characterize(refs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cold.CacheHits != 0 {
 		t.Fatalf("cold cache run reported %d hits", cold.CacheHits)
+	}
+	if got := cfg.Metrics.Counter("fcache.misses.vector").Value(); got != int64(cold.UniqueIntervals) {
+		t.Fatalf("cold run missed %d interval vectors, want all %d generated", got, cold.UniqueIntervals)
 	}
 	cfg.Metrics = obs.New()
 	warm, err := Characterize(refs, cfg)
@@ -75,15 +80,37 @@ func TestCharacterizeCacheBitIdentical(t *testing.T) {
 	if warm.CacheHits != warm.UniqueIntervals {
 		t.Fatalf("warm run hit %d of %d unique intervals", warm.CacheHits, warm.UniqueIntervals)
 	}
-	// The observability layer must agree with the Dataset's own
-	// accounting, hit for hit.
-	if got := cfg.Metrics.Counter("fcache.hits").Value(); got != int64(warm.CacheHits) {
-		t.Fatalf("fcache.hits counter = %d, want CacheHits = %d", got, warm.CacheHits)
+
+	// A subset of the sample is a different dataset: its artifact misses,
+	// and the vector tier must serve every interval — the observability
+	// layer agreeing with the Dataset's accounting, hit for hit.
+	sub := refs[len(refs)/4:]
+	cfg.Metrics = obs.New()
+	part, err := Characterize(sub, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if part.CacheHits != part.UniqueIntervals {
+		t.Fatalf("subset run hit %d of %d unique intervals", part.CacheHits, part.UniqueIntervals)
+	}
+	if got := cfg.Metrics.Counter("fcache.hits.vector").Value(); got != int64(part.CacheHits) {
+		t.Fatalf("fcache.hits.vector = %d, want CacheHits = %d", got, part.CacheHits)
+	}
+	if got := cfg.Metrics.Counter("fcache.misses.vector").Value(); got != 0 {
+		t.Fatalf("subset run missed %d interval vectors", got)
 	}
 	cfg.Metrics = nil
 
 	datasetsBitIdentical(t, plain, cold, "plain vs cold")
 	datasetsBitIdentical(t, plain, warm, "plain vs warm")
+	off := len(refs) - len(sub)
+	for i := range sub {
+		for j, v := range part.Raw.Row(i) {
+			if math.Float64bits(v) != math.Float64bits(plain.Raw.At(off+i, j)) {
+				t.Fatalf("subset row %d col %d: %v != %v (bit-exact)", i, j, v, plain.Raw.At(off+i, j))
+			}
+		}
+	}
 }
 
 // TestCharacterizeCorruptCacheRegenerates damages every cached entry and
@@ -146,53 +173,83 @@ func TestCharacterizeCorruptCacheRegenerates(t *testing.T) {
 	datasetsBitIdentical(t, cold, healed, "cold vs healed")
 }
 
-// TestCharacterizeMemoBitIdentical pins the in-process dataset memo: a
-// repeat Characterize of the same sample must return a bit-identical
-// dataset, report its rows as cache-served when a cache directory is
-// configured (and as uncached when not), and never let a caller's view
-// of Refs alias the memoized entry.
-func TestCharacterizeMemoBitIdentical(t *testing.T) {
+// TestCharacterizeDatasetArtifact pins the whole-dataset artifact: a
+// repeat Characterize over a cache is served from one shard-kind entry
+// — no interval vector read — bit-identically, with every unique
+// interval reported as a cache hit and no caller's Refs aliasing
+// another's.
+func TestCharacterizeDatasetArtifact(t *testing.T) {
 	refs, cfg := cacheTestSetup(t)
-	// The fresh cache directory is part of the memo key, so the first
-	// run here is a guaranteed memo miss even though other tests
-	// characterize the same sample.
 	cfg.CacheDir = t.TempDir()
 
 	cold, err := Characterize(refs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if cold.CacheHits != 0 {
+		t.Fatalf("cold run reported %d hits from an empty cache", cold.CacheHits)
+	}
+	cfg.Metrics = obs.New()
 	warm, err := Characterize(refs, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	datasetsBitIdentical(t, cold, warm, "cold vs memo-warm")
+	datasetsBitIdentical(t, cold, warm, "cold vs artifact-warm")
 	if warm.CacheHits != warm.UniqueIntervals {
-		t.Fatalf("memo-warm run reported %d of %d hits", warm.CacheHits, warm.UniqueIntervals)
+		t.Fatalf("artifact-warm run reported %d of %d hits", warm.CacheHits, warm.UniqueIntervals)
 	}
-	if len(warm.Refs) > 0 && &warm.Refs[0] == &cold.Refs[0] {
-		t.Fatal("memo hit aliases the stored Refs slice")
+	rep := cfg.Metrics.Snapshot()
+	if got := rep.Counters["fcache.hits.shard"]; got != 1 {
+		t.Fatalf("fcache.hits.shard = %d, want the 1 dataset artifact", got)
+	}
+	if got := rep.Counters["fcache.hits.vector"] + rep.Counters["fcache.misses.vector"]; got != 0 {
+		t.Fatalf("artifact-warm run read %d interval vectors", got)
+	}
+	if &warm.Refs[0] == &cold.Refs[0] || &warm.Refs[0] == &refs[0] {
+		t.Fatal("dataset Refs alias another caller's slice")
+	}
+}
+
+// TestObservedRunsUseUnobservedArtifacts pins that observability never
+// changes which code runs: what an unobserved call wrote serves the
+// observed repeat, for Characterize and for Run alike.
+func TestObservedRunsUseUnobservedArtifacts(t *testing.T) {
+	refs, cfg := cacheTestSetup(t)
+	cfg.CacheDir = t.TempDir()
+	if _, err := Characterize(refs, cfg); err != nil {
+		t.Fatal(err)
+	}
+	cfg.Metrics = obs.New()
+	ds, err := Characterize(refs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Metrics.Counter("fcache.hits.shard").Value(); got != 1 || ds.CacheHits != ds.UniqueIntervals {
+		t.Fatalf("observed Characterize: fcache.hits.shard = %d, %d of %d hits; want the unobserved artifact",
+			got, ds.CacheHits, ds.UniqueIntervals)
 	}
 
-	// Without a cache directory the CacheHits contract is "0 without a
-	// cache", memo hit or not.
-	cfg.CacheDir = ""
-	first, err := Characterize(refs, cfg)
-	if err != nil {
+	reg := miniRegistry(t)
+	rc := miniConfig()
+	rc.CacheDir = t.TempDir()
+	if _, err := Run(reg, rc, nil); err != nil {
 		t.Fatal(err)
 	}
-	second, err := Characterize(refs, cfg)
-	if err != nil {
+	rc.Metrics = obs.New()
+	if _, err := Run(reg, rc, nil); err != nil {
 		t.Fatal(err)
 	}
-	datasetsBitIdentical(t, first, second, "uncached repeat")
-	if first.CacheHits != 0 || second.CacheHits != 0 {
-		t.Fatalf("uncached runs reported %d and %d hits", first.CacheHits, second.CacheHits)
+	if rep := rc.Metrics.Snapshot(); rep.Counters["engine.stages_resumed"] != 5 || rep.Counters["engine.stages_computed"] != 0 {
+		t.Fatalf("observed Run resumed %d and computed %d stages, want 5 and 0",
+			rep.Counters["engine.stages_resumed"], rep.Counters["engine.stages_computed"])
 	}
 }
 
 // TestTimelineCacheBitIdentical pins the cached timeline path the same
-// way: cold and warm runs must agree bit for bit with the uncached run.
+// way: cold and warm runs must agree bit for bit with the uncached run,
+// and a run at another maxPhases — a new timeline artifact over the same
+// intervals — must be served by the vector tier and agree with its own
+// uncached run.
 func TestTimelineCacheBitIdentical(t *testing.T) {
 	reg, err := bench.StandardRegistry()
 	if err != nil {
@@ -206,21 +263,44 @@ func TestTimelineCacheBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	plain3, err := AnalyzeTimeline(b, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.CacheDir = t.TempDir()
+	cfg.Metrics = obs.New()
 	cold, err := AnalyzeTimeline(b, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if got := cfg.Metrics.Counter("engine.resumed.timeline").Value(); got != 0 {
+		t.Fatalf("cold timeline resumed %d artifacts from an empty cache", got)
+	}
+	cfg.Metrics = obs.New()
 	warm, err := AnalyzeTimeline(b, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, other := range []*Timeline{cold, warm} {
-		if plain.Strip() != other.Strip() {
-			t.Fatalf("timeline strips differ: %q vs %q", plain.Strip(), other.Strip())
+	if got := cfg.Metrics.Counter("engine.resumed.timeline").Value(); got != 1 {
+		t.Fatalf("warm timeline: engine.resumed.timeline = %d, want 1", got)
+	}
+	cfg.Metrics = obs.New()
+	other, err := AnalyzeTimeline(b, cfg, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := cfg.Metrics.Snapshot()
+	if rep.Counters["engine.resumed.timeline"] != 0 || rep.Counters["fcache.hits.vector"] != int64(len(other.Phases)) {
+		t.Fatalf("maxPhases 3 run: resumed %d timelines, %d vector hits; want 0 and all %d intervals",
+			rep.Counters["engine.resumed.timeline"], rep.Counters["fcache.hits.vector"], len(other.Phases))
+	}
+	for _, pair := range [][2]*Timeline{{plain, cold}, {plain, warm}, {plain3, other}} {
+		want, got := pair[0], pair[1]
+		if want.Strip() != got.Strip() {
+			t.Fatalf("timeline strips differ: %q vs %q", want.Strip(), got.Strip())
 		}
-		for i := range plain.Vectors.Data {
-			if math.Float64bits(plain.Vectors.Data[i]) != math.Float64bits(other.Vectors.Data[i]) {
+		for i := range want.Vectors.Data {
+			if math.Float64bits(want.Vectors.Data[i]) != math.Float64bits(got.Vectors.Data[i]) {
 				t.Fatalf("timeline vector element %d differs", i)
 			}
 		}

@@ -102,12 +102,12 @@ type Config struct {
 	// the run completes. If Metrics is nil, Validate creates a collector
 	// so the report has something to say.
 	ReportPath string
-	// CacheDir, when non-empty, enables the persistent interval-vector
-	// cache (internal/fcache) rooted at that directory: characterized
-	// interval vectors are stored keyed by (behavior hash, seed, length,
-	// kernel schema version) and later runs reuse them instead of
-	// regenerating the interval, with bit-identical results. Empty
-	// disables caching.
+	// CacheDir, when non-empty, enables the persistent artifact cache
+	// (internal/fcache) rooted at that directory: characterized interval
+	// vectors, dataset shards and every analysis stage's output are
+	// stored under content-addressed keys, and every later run looks its
+	// artifacts up before computing, with bit-identical results. Empty
+	// disables caching: every run computes everything.
 	CacheDir string
 	// Shard, when Count > 1, makes Run a merge run: instead of
 	// characterizing everything in-process, each shard's dataset artifact
@@ -120,15 +120,19 @@ type Config struct {
 	// Incremental configures the extend-dataset mode (see
 	// IncrementalSpec). Requires CacheDir when enabled.
 	Incremental IncrementalSpec
-	// MemoBudget bounds the in-process dataset memo (memo.go) by
-	// approximate payload bytes: 0 means the 64 MiB default, a negative
-	// value disables memoization entirely.
+	// MemoBudget is ignored: the in-process dataset memo it bounded is
+	// gone, and a repeat characterization is served from the cache's
+	// dataset artifact instead.
+	//
+	// Deprecated: kept only so the benchmark module (perfbench), which
+	// sets it, builds unchanged.
 	MemoBudget int64
-	// Resume, when true (requires CacheDir), makes every pipeline stage
-	// check the cache for its own output artifact first: a rerun with the
-	// same config skips each completed stage and recomputes only what is
-	// missing or fails validation. Off by default so cache counters keep
-	// their cold/warm interval-vector semantics.
+	// Resume is ignored: with CacheDir set, every stage looks up its
+	// artifact first and recomputes only what is missing or fails
+	// validation, so a rerun with the same config always resumes.
+	//
+	// Deprecated: kept only so the benchmark module (perfbench), which
+	// sets it, builds unchanged.
 	Resume bool
 	// KMeans configures the clustering step. A zero KMeans.Seed means
 	// "inherit Config.Seed" and a zero KMeans.Workers means "inherit
@@ -255,9 +259,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Shard.Count > 1 && c.CacheDir == "" {
 		return fmt.Errorf("core: sharded runs need a cache directory (shard artifacts live there)")
-	}
-	if c.Resume && c.CacheDir == "" {
-		return fmt.Errorf("core: resume needs a cache directory (stage artifacts live there)")
 	}
 	if c.Incremental.Enabled && c.CacheDir == "" {
 		return fmt.Errorf("core: incremental runs need a cache directory (baseline artifacts live there)")

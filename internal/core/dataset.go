@@ -47,8 +47,9 @@ type Dataset struct {
 	// cache contribute their interval length without being regenerated,
 	// so the total is identical whether a run was cold or cache-warm.
 	Instructions uint64
-	// CacheHits is how many unique intervals were served from the
-	// interval-vector cache (0 without a cache).
+	// CacheHits is how many unique intervals were served from the cache,
+	// by their own vector entries or by a whole dataset or shard artifact
+	// (0 without a cache).
 	CacheHits int
 }
 
@@ -93,71 +94,89 @@ func SampleRefs(reg *bench.Registry, cfg Config) []IntervalRef {
 // Characterize generates and characterizes the sampled intervals, sharing
 // work between duplicate samples. It is the pipeline's step 1+2 (paper
 // sections 2.3–2.4) and by far its most expensive stage; work is spread
-// over cfg.Workers goroutines.
+// over cfg.Workers goroutines. With cfg.CacheDir set, the unique vectors
+// are one dataset artifact (datasetKey): a repeat over the same refs
+// loads it and reports every unique interval as a cache hit.
 func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
-
-	// Repeat characterizations of the same sample in one process are
-	// served from the in-process memo (see memo.go for what a hit may
-	// and may not shortcut). Observed runs always take the real path.
-	memoKey := datasetKey(refs, cfg)
-	if cfg.Metrics == nil {
-		if ds, ok := lookupDataset(memoKey); ok {
-			return ds, nil
-		}
-	}
-
-	type key struct {
-		id    string
-		index int
-	}
-	unique := make(map[key]int) // -> slot in vectors
-	var work []IntervalRef
-	for _, r := range refs {
-		k := key{r.Bench.ID(), r.Index}
-		if _, ok := unique[k]; !ok {
-			unique[k] = len(work)
-			work = append(work, r)
-		}
-	}
-
-	var cache *fcache.Cache
-	if cfg.CacheDir != "" {
-		var err error
-		if cache, err = fcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(cfg.Metrics)
-	}
-	vectors, instructions, cacheHits, err := characterizeUnique(work, cfg, cache)
+	cache, err := openCache(cfg)
 	if err != nil {
 		return nil, err
 	}
-
-	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
-	for i, r := range refs {
-		copy(raw.Row(i), vectors[unique[key{r.Bench.ID(), r.Index}]])
+	work, slot := dedupRefs(refs)
+	art := &coveredShard{work: work}
+	hits := 0
+	loaded, err := getOrCompute(cache, datasetKey(refs, cfg), art, func() (err error) {
+		hits, err = art.compute(cfg, cache)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	ds := &Dataset{
+	if loaded {
+		hits = len(work)
+	}
+	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
+	for i, s := range slot {
+		copy(raw.Row(i), art.rows[s])
+	}
+	return &Dataset{
 		Refs:            append([]IntervalRef(nil), refs...),
 		Raw:             raw,
 		UniqueIntervals: len(work),
-		Instructions:    instructions,
-		CacheHits:       cacheHits,
-	}
-	storeDataset(memoKey, ds, cfg.MemoBudget)
-	return ds, nil
+		Instructions:    art.instructions,
+		CacheHits:       hits,
+	}, nil
 }
 
-// characterizeUnique is the characterization kernel shared by the
-// whole-dataset path (Characterize) and the engine's shard path: it
-// generates and measures the given already-deduplicated intervals and
-// returns one vector per interval, the instruction total, and the
-// vector-cache hit count.
-func characterizeUnique(work []IntervalRef, cfg Config, cache *fcache.Cache) ([][]float64, uint64, int, error) {
-	span := cfg.Metrics.StartSpan("characterize").SetRows(len(work)).SetWorkers(par.Workers(cfg.Workers))
+// openCache opens cfg's cache with cfg's collector installed, or returns
+// nil when no cache directory is configured.
+func openCache(cfg Config) (*fcache.Cache, error) {
+	if cfg.CacheDir == "" {
+		return nil, nil
+	}
+	cache, err := fcache.Open(cfg.CacheDir)
+	if err != nil {
+		return nil, err
+	}
+	cache.SetMetrics(cfg.Metrics)
+	return cache, nil
+}
+
+// intervalKey identifies one interval of one benchmark. Keying on the
+// benchmark pointer costs nothing, where Benchmark.ID builds a string.
+type intervalKey struct {
+	b     *bench.Benchmark
+	index int
+}
+
+// dedupRefs returns refs' distinct intervals in first-appearance order
+// and, per ref, the position of its interval in that list.
+func dedupRefs(refs []IntervalRef) (work []IntervalRef, slot []int) {
+	pos := make(map[intervalKey]int, len(refs))
+	slot = make([]int, len(refs))
+	for i, r := range refs {
+		k := intervalKey{r.Bench, r.Index}
+		s, ok := pos[k]
+		if !ok {
+			s = len(work)
+			pos[k] = s
+			work = append(work, r)
+		}
+		slot[i] = s
+	}
+	return work, slot
+}
+
+// characterizeUnique is the characterization kernel behind every
+// dataset, shard and timeline: it generates and measures the given
+// already-deduplicated intervals under a span named stage and returns
+// one vector per interval, the instruction total, and the vector-cache
+// hit count.
+func characterizeUnique(stage string, work []IntervalRef, cfg Config, cache *fcache.Cache) ([][]float64, uint64, int, error) {
+	span := cfg.Metrics.StartSpan(stage).SetRows(len(work)).SetWorkers(par.Workers(cfg.Workers))
 	defer span.End()
 
 	// Fan the unique intervals out over the par worker pool. Analyzers

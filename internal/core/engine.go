@@ -3,14 +3,15 @@ package core
 // The stage engine behind Run: each analysis stage (characterize, pca,
 // scores, kmeans, prominent) declares its output as a serializable
 // artifact with a content-addressed key (see artifacts.go), persisted
-// through internal/fcache. The engine gives Run three properties the old
+// through internal/fcache. The engine gives Run two properties the old
 // monolith lacked:
 //
-//   - persistable intermediates: with a cache configured, every stage's
-//     output is written as a checksummed artifact;
-//   - resume: with Config.Resume, a rerun with the same config loads each
-//     completed stage's artifact instead of recomputing it (a corrupt or
-//     stale artifact misses and the stage recomputes — never fails);
+//   - artifact reuse: with a cache configured, every stage looks up its
+//     artifact first and computes only on a miss, under the cache's
+//     singleflight, persisting what it computed. A rerun with the same
+//     config recomputes nothing; a corrupt or stale artifact misses and
+//     the stage recomputes — never fails. Without a cache every stage
+//     computes;
 //   - sharded characterization: with Config.Shard.Count > 1, the dominant
 //     characterize stage is assembled from per-shard dataset artifacts
 //     computed independently (CharacterizeShard / `phasechar -shard`).
@@ -51,14 +52,12 @@ type engine struct {
 // incremental mode enabled it also resolves the extend-dataset plan
 // against the cached baseline manifest (see incremental.go).
 func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(string, ...any)) (*engine, error) {
-	e := &engine{reg: reg, cfg: cfg, logf: logf}
-	if cfg.CacheDir != "" {
-		cache, err := fcache.Open(cfg.CacheDir)
-		if err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(cfg.Metrics)
-		e.cache = cache
+	cache, err := openCache(cfg)
+	if err != nil {
+		return nil, err
+	}
+	e := &engine{reg: reg, cfg: cfg, cache: cache, logf: logf}
+	if cache != nil {
 		e.keys = newArtifactKeys(reg, cfg, len(refs))
 		if cfg.Incremental.Enabled && cfg.Shard.Count <= 1 {
 			e.delta = e.planDelta()
@@ -72,7 +71,7 @@ func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(st
 
 // Key accessors tolerate cache-less runs: without a cache there is no
 // key chain (e.keys is nil) and the zero Key is never used, because
-// stage() only touches keys when e.cache is non-nil.
+// getOrCompute only touches keys when a cache is configured.
 
 func (e *engine) pcaKey() fcache.Key {
 	if e.keys == nil {
@@ -109,30 +108,61 @@ func (e *engine) markStage(name, mode string) {
 	e.cfg.Metrics.Add("engine."+mode+"."+name, 1)
 }
 
-// stage runs one persisted pipeline stage. With resume enabled it first
-// tries to load the stage's artifact (a hit fills art and records a
-// zero-cost resumed span); otherwise compute must fill art, and the
-// result is persisted when a cache is configured. Returns whether the
-// stage was resumed.
-func (e *engine) stage(name string, key fcache.Key, art stageArtifact, rows int, compute func() error) (bool, error) {
-	if e.cache != nil && e.cfg.Resume {
-		if e.cache.GetBinary(key, art) {
-			e.cfg.Metrics.StartSpan(name).SetRows(rows).SetResumed(true).End()
-			e.markStage(name, "resumed")
-			e.logf("%s: resumed from stage artifact", name)
+// getOrCompute fills art from its cache entry under key or, on a miss,
+// runs compute, which must fill art. The compute runs under the cache's
+// singleflight (fcache.GetOrCompute), which persists its result:
+// concurrent service jobs — or processes sharing the cache directory —
+// needing the same artifact elect one computer, and the rest read its
+// entry. Without a cache it just computes. Returns whether art was
+// loaded rather than computed.
+func getOrCompute(cache *fcache.Cache, key fcache.Key, art stageArtifact, compute func() error) (bool, error) {
+	if cache == nil {
+		return false, compute()
+	}
+	for retried := false; ; retried = true {
+		computed := false
+		payload, _, err := cache.GetOrCompute(key, func() ([]byte, error) {
+			if err := compute(); err != nil {
+				return nil, err
+			}
+			computed = true
+			return art.MarshalBinary()
+		})
+		switch {
+		case computed:
+			// An artifact that refused to encode only costs persistence;
+			// it never fails the run.
+			return false, nil
+		case err != nil:
+			return false, err
+		case art.UnmarshalBinary(payload) == nil:
 			return true, nil
+		case retried:
+			return false, fmt.Errorf("core: %s artifact undecodable after recompute", fcache.KindName(key.Kind))
 		}
+		// The entry passed the cache checksum but not the artifact
+		// decoder (a schema change raced this run): discard it so it is
+		// never trusted again, and compute it afresh.
+		cache.Discard(key)
 	}
-	if err := compute(); err != nil {
-		return false, err
+}
+
+// stage runs one persisted pipeline stage through getOrCompute: a
+// cached artifact fills art and records a zero-cost resumed span;
+// otherwise compute fills art.
+func (e *engine) stage(name string, key fcache.Key, art stageArtifact, rows int, compute func() error) error {
+	loaded, err := getOrCompute(e.cache, key, art, compute)
+	if err != nil {
+		return err
 	}
-	if e.cache != nil {
-		// Best-effort: a failed artifact write only costs recomputation on
-		// the next resume attempt.
-		_ = e.cache.PutBinary(key, art)
+	if !loaded {
+		e.markStage(name, "computed")
+		return nil
 	}
-	e.markStage(name, "computed")
-	return false, nil
+	e.cfg.Metrics.StartSpan(name).SetRows(rows).SetResumed(true).End()
+	e.markStage(name, "resumed")
+	e.logf("%s: resumed from stage artifact", name)
+	return nil
 }
 
 // shardPlan is one shard's slice of the sampled dataset.
@@ -142,6 +172,9 @@ type shardPlan struct {
 	benches []int
 	// refs are the shard's sampled rows (registry/sample order).
 	refs []IntervalRef
+	// work are refs' distinct intervals in first-appearance order: the
+	// rows of the shard's artifact.
+	work []IntervalRef
 }
 
 // planShards partitions the sampled refs into cfg.Shard.Count shards by
@@ -149,155 +182,62 @@ type shardPlan struct {
 // depends only on the registry order and the count, never on workers or
 // cache state, so every process plans identically.
 func (e *engine) planShards(refs []IntervalRef) []shardPlan {
-	count := e.cfg.Shard.Count
-	if count < 1 {
-		count = 1
-	}
+	count := max(e.cfg.Shard.Count, 1)
 	plans := make([]shardPlan, count)
-	idx := make(map[string]int, e.reg.Len())
+	shardOf := make(map[*bench.Benchmark]int, e.reg.Len())
 	for i, b := range e.reg.All() {
-		idx[b.ID()] = i
-		s := i % count
-		plans[s].benches = append(plans[s].benches, i)
+		shardOf[b] = i % count
+		plans[i%count].benches = append(plans[i%count].benches, i)
+	}
+	for _, r := range refs {
+		s := shardOf[r.Bench]
+		plans[s].refs = append(plans[s].refs, r)
 	}
 	for i := range plans {
 		plans[i].index, plans[i].count = i, count
-	}
-	for _, r := range refs {
-		s := idx[r.Bench.ID()] % count
-		plans[s].refs = append(plans[s].refs, r)
+		plans[i].work, _ = dedupRefs(plans[i].refs)
 	}
 	return plans
 }
 
-// computeShard characterizes one shard's unique intervals and packages
-// them as a shard artifact, plus the vector-cache hit count.
-func (e *engine) computeShard(p shardPlan) (*shardArtifact, int, error) {
-	type ik struct {
-		id    string
-		index int
+// loadOrComputeShard serves one shard from its artifact or, on a miss,
+// characterizes it (see getOrCompute). Returns the artifact, whether it
+// was loaded, and the vector-cache hits of a computed shard.
+func (e *engine) loadOrComputeShard(p shardPlan) (*coveredShard, bool, int, error) {
+	var key fcache.Key
+	if e.keys != nil {
+		key = e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
 	}
-	seen := make(map[ik]bool, len(p.refs))
-	var work []IntervalRef
-	for _, r := range p.refs {
-		k := ik{r.Bench.ID(), r.Index}
-		if !seen[k] {
-			seen[k] = true
-			work = append(work, r)
-		}
-	}
-	vectors, instructions, hits, err := characterizeUnique(work, e.cfg, e.cache)
-	if err != nil {
-		return nil, 0, err
-	}
-	art := &shardArtifact{instructions: instructions}
-	// refs are contiguous per benchmark, and dedup preserves first
-	// appearance, so work is grouped by benchmark too.
-	for i := 0; i < len(work); {
-		id := work[i].Bench.ID()
-		j := i
-		for j < len(work) && work[j].Bench.ID() == id {
-			j++
-		}
-		sb := shardBench{id: id, indices: make([]int, 0, j-i), vectors: stats.NewMatrix(j-i, mica.NumMetrics)}
-		for r := i; r < j; r++ {
-			sb.indices = append(sb.indices, work[r].Index)
-			copy(sb.vectors.Row(r-i), vectors[r])
-		}
-		art.benches = append(art.benches, sb)
-		i = j
-	}
-	return art, hits, nil
-}
-
-// loadOrComputeShard serves one shard from its artifact when allowed
-// (merge runs always look, single-shard runs only under resume) and
-// characterizes it otherwise. Returns the artifact, whether it was
-// loaded, and the characterize-stage vector-cache hits.
-//
-// On the artifact-eligible path the compute runs under the cache's
-// singleflight (see fcache.GetOrCompute): concurrent service jobs — or
-// worker processes sharing the cache directory — needing the same shard
-// elect one computer, and the rest read its entry instead of burning a
-// duplicate characterization. The plain cold path (single shard, no
-// resume) is unchanged: it never consulted the cache before computing
-// and still does not.
-func (e *engine) loadOrComputeShard(p shardPlan) (*shardArtifact, bool, int, error) {
-	if e.cache != nil && (p.count > 1 || e.cfg.Resume) {
-		key := e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
-		var computedArt *shardArtifact
-		var computedHits int
-		payload, computed, err := e.cache.GetOrCompute(key, func() ([]byte, error) {
-			a, h, cerr := e.computeShard(p)
-			if cerr != nil {
-				return nil, cerr
-			}
-			computedArt, computedHits = a, h
-			return a.MarshalBinary()
-		})
-		if err != nil {
-			if computedArt != nil {
-				// The shard computed fine but refused to encode for the
-				// cache; a persistence failure never fails the run (same
-				// contract as the ignored PutBinary error before).
-				e.cfg.Metrics.Add("engine.shards_computed", 1)
-				return computedArt, false, computedHits, nil
-			}
-			return nil, false, 0, err
-		}
-		if computed {
-			e.cfg.Metrics.Add("engine.shards_computed", 1)
-			return computedArt, false, computedHits, nil
-		}
-		art := &shardArtifact{}
-		if uerr := art.UnmarshalBinary(payload); uerr == nil {
-			e.cfg.Metrics.Add("engine.shards_resumed", 1)
-			return art, true, 0, nil
-		}
-		// The entry passed the cache checksum but not the artifact
-		// decoder (a schema bump raced this run): discard it so it is
-		// never trusted again, and recompute below.
-		e.cache.Discard(key)
-	}
-	art, hits, err := e.computeShard(p)
+	art := &coveredShard{work: p.work}
+	hits := 0
+	loaded, err := getOrCompute(e.cache, key, art, func() (err error) {
+		hits, err = art.compute(e.cfg, e.cache)
+		return err
+	})
 	if err != nil {
 		return nil, false, 0, err
 	}
-	if e.cache != nil {
-		_ = e.cache.PutBinary(e.keys.shardKey(p.index, p.count, p.benches, len(p.refs)), art)
+	if loaded {
+		e.cfg.Metrics.Add("engine.shards_resumed", 1)
+	} else {
+		e.cfg.Metrics.Add("engine.shards_computed", 1)
 	}
-	e.cfg.Metrics.Add("engine.shards_computed", 1)
-	return art, false, hits, nil
+	return art, loaded, hits, nil
 }
 
 // characterize runs the (possibly sharded) characterization stage and
-// merges the shard artifacts into the run's Dataset. Returns whether the
-// whole stage was served from artifacts.
-func (e *engine) characterize(refs []IntervalRef) (*Dataset, bool, error) {
+// merges the shard artifacts into the run's Dataset.
+func (e *engine) characterize(refs []IntervalRef) (*Dataset, error) {
 	if len(refs) == 0 {
-		return nil, false, fmt.Errorf("core: no intervals to characterize")
-	}
-	// Unsharded, uncached, unobserved runs share the in-process dataset
-	// memo with Characterize (see memo.go): repeat pipeline runs over
-	// the same sample in one process skip the substrate regeneration.
-	// Any cache, shard or metrics involvement takes the real path so
-	// artifact, resume and observability semantics stay exact.
-	memoable := e.cache == nil && e.cfg.Metrics == nil && e.cfg.Shard.Count <= 1
-	var memoKey datasetMemoKey
-	if memoable {
-		memoKey = datasetKey(refs, e.cfg)
-		if ds, ok := lookupDataset(memoKey); ok {
-			e.markStage("characterize", "computed")
-			return ds, false, nil
-		}
+		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
 	if e.delta != nil {
 		ds, ok, err := e.characterizeDelta(refs)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if ok {
-			return ds, false, nil
+			return ds, nil
 		}
 		// A baseline artifact could not be served: abandon the whole delta
 		// plan (the analysis fast path depends on the same baseline) and
@@ -306,29 +246,24 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, bool, error) {
 		e.cfg.Metrics.Add("engine.delta_fallback.characterize", 1)
 	}
 	plans := e.planShards(refs)
-	arts := make([]*shardArtifact, len(plans))
+	arts := make([]*coveredShard, len(plans))
 	resumed := true
 	var instructions uint64
-	cacheHits := 0
+	unique, cacheHits := 0, 0
 	for i := range plans {
 		art, loaded, hits, err := e.loadOrComputeShard(plans[i])
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
 		if loaded {
 			// Every interval the artifact holds was served from the cache.
-			cacheHits += art.uniqueCount()
-		} else {
-			resumed = false
-			cacheHits += hits
+			hits = len(art.work)
 		}
+		resumed = resumed && loaded
+		cacheHits += hits
+		unique += len(art.work)
 		instructions += art.instructions
 		arts[i] = art
-	}
-
-	unique := 0
-	for _, art := range arts {
-		unique += art.uniqueCount()
 	}
 	if resumed {
 		e.cfg.Metrics.StartSpan("characterize").SetRows(unique).SetResumed(true).End()
@@ -342,39 +277,24 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, bool, error) {
 	if len(plans) > 1 {
 		mergeSpan = e.cfg.Metrics.StartSpan("merge").SetRows(len(refs))
 	}
-	type ik struct {
-		id    string
-		index int
-	}
-	vecs := make(map[ik][]float64, unique)
+	vecs := make(map[intervalKey][]float64, unique)
 	for _, art := range arts {
-		for bi := range art.benches {
-			sb := &art.benches[bi]
-			for j, idx := range sb.indices {
-				vecs[ik{sb.id, idx}] = sb.vectors.Row(j)
-			}
+		for i, r := range art.work {
+			vecs[intervalKey{r.Bench, r.Index}] = art.rows[i]
 		}
 	}
 	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
 	for i, r := range refs {
-		v, ok := vecs[ik{r.Bench.ID(), r.Index}]
-		if !ok {
-			return nil, false, fmt.Errorf("core: shard artifacts are missing interval %s", r)
-		}
-		copy(raw.Row(i), v)
+		copy(raw.Row(i), vecs[intervalKey{r.Bench, r.Index}])
 	}
 	mergeSpan.End()
-	ds := &Dataset{
+	return &Dataset{
 		Refs:            append([]IntervalRef(nil), refs...),
 		Raw:             raw,
 		UniqueIntervals: unique,
 		Instructions:    instructions,
 		CacheHits:       cacheHits,
-	}
-	if memoable {
-		storeDataset(memoKey, ds, e.cfg.MemoBudget)
-	}
-	return ds, resumed, nil
+	}, nil
 }
 
 // ShardInfo summarizes one CharacterizeShard invocation.

@@ -98,10 +98,8 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				if !bytes.Equal(refJSON, exportJSON(t, got)) {
 					t.Fatalf("%s: exported JSON differs from the single-process run", ctx)
 				}
-				if n > 1 {
-					if resumed := cfg.Metrics.Counter("engine.shards_resumed").Value(); resumed != int64(n) {
-						t.Fatalf("%s: served %d of %d shards from artifacts", ctx, resumed, n)
-					}
+				if resumed := cfg.Metrics.Counter("engine.shards_resumed").Value(); resumed != int64(n) {
+					t.Fatalf("%s: served %d of %d shards from artifacts", ctx, resumed, n)
 				}
 			}
 		}
@@ -156,7 +154,6 @@ func TestResumeSkipsStages(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Resume = true
 	cfg.Metrics = obs.New()
 	first, err := Run(reg, cfg, nil)
 	if err != nil {
@@ -172,7 +169,6 @@ func TestResumeSkipsStages(t *testing.T) {
 
 	warm := miniConfig()
 	warm.CacheDir = cfg.CacheDir
-	warm.Resume = true
 	warm.Metrics = obs.New()
 	second, err := Run(reg, warm, nil)
 	if err != nil {
@@ -210,7 +206,6 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Resume = true
 	first, err := Run(reg, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +215,6 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 
 	damaged := miniConfig()
 	damaged.CacheDir = cfg.CacheDir
-	damaged.Resume = true
 	damaged.Metrics = obs.New()
 	redone, err := Run(reg, damaged, nil)
 	if err != nil {
@@ -244,7 +238,6 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 	// The regenerating run rewrote every artifact: the next resume is whole.
 	healed := miniConfig()
 	healed.CacheDir = cfg.CacheDir
-	healed.Resume = true
 	healed.Metrics = obs.New()
 	if _, err := Run(reg, healed, nil); err != nil {
 		t.Fatal(err)
@@ -255,19 +248,22 @@ func TestCorruptStageArtifactRegenerates(t *testing.T) {
 }
 
 // TestTimelineResume pins the per-benchmark analogue: a second
-// AnalyzeTimeline with Resume set serves the whole analysis from its
+// AnalyzeTimeline over the same cache serves the whole analysis from its
 // stage artifact, bit-identically.
 func TestTimelineResume(t *testing.T) {
 	reg := miniRegistry(t)
 	b := reg.All()[1] // the two-phase benchmark
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
+	cfg.Metrics = obs.New()
 	first, err := AnalyzeTimeline(b, cfg, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if rep := cfg.Metrics.Snapshot(); rep.Counters["engine.resumed.timeline"] != 0 || rep.Counters["kmeans.selectk_fits"] == 0 {
+		t.Fatalf("first timeline did not compute: %v", rep.Counters)
+	}
 
-	cfg.Resume = true
 	cfg.Metrics = obs.New()
 	resumed, err := AnalyzeTimeline(b, cfg, 4)
 	if err != nil {
@@ -310,8 +306,8 @@ func TestShardArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art, _, err := eng.computeShard(eng.planShards(refs)[0])
-	if err != nil {
+	art := &coveredShard{work: eng.planShards(refs)[0].work}
+	if _, err := art.compute(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
 	buf, err := art.MarshalBinary()
@@ -353,11 +349,6 @@ func TestShardValidation(t *testing.T) {
 	cfg.Shard = ShardSpec{Index: 0, Count: 3}
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("sharded run without a cache directory validated")
-	}
-	cfg = miniConfig()
-	cfg.Resume = true
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("resume without a cache directory validated")
 	}
 	cfg = miniConfig()
 	if _, err := CharacterizeShard(miniRegistry(t), cfg, nil); err == nil {

@@ -263,21 +263,16 @@ func (e *engine) characterizeDelta(refs []IntervalRef) (*Dataset, bool, error) {
 	}
 
 	// Characterize only the appended benchmarks' unique intervals.
-	seen := make(map[ik]bool)
+	all, slot := dedupRefs(refs)
 	var work []IntervalRef
-	for _, r := range refs {
-		if !e.delta.newBench[r.Bench.ID()] {
-			continue
-		}
-		k := ik{r.Bench.ID(), r.Index}
-		if !seen[k] {
-			seen[k] = true
+	for _, r := range all {
+		if e.delta.newBench[r.Bench.ID()] {
 			work = append(work, r)
 		}
 	}
 	hits := 0
 	if len(work) > 0 {
-		vectors, instr, h, err := characterizeUnique(work, e.cfg, e.cache)
+		vectors, instr, h, err := characterizeUnique("characterize", work, e.cfg, e.cache)
 		if err != nil {
 			span.End()
 			return nil, false, err
@@ -289,8 +284,8 @@ func (e *engine) characterizeDelta(refs []IntervalRef) (*Dataset, bool, error) {
 		hits = h
 	}
 
-	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
-	for i, r := range refs {
+	rows := make([][]float64, len(all))
+	for i, r := range all {
 		v, ok := vecs[ik{r.Bench.ID(), r.Index}]
 		if !ok {
 			// The baseline artifact decoded but does not hold a row the
@@ -300,38 +295,23 @@ func (e *engine) characterizeDelta(refs []IntervalRef) (*Dataset, bool, error) {
 			span.End()
 			return nil, false, nil
 		}
-		copy(raw.Row(i), v)
+		rows[i] = v
+	}
+	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
+	for i, s := range slot {
+		copy(raw.Row(i), rows[s])
 	}
 
 	// Persist the merged full-roster artifact under the standard key: its
 	// content is exact (copied baseline rows + freshly characterized new
 	// rows), so it is a legal resident of the standard key space and the
 	// baseline for the next append.
-	merged := &shardArtifact{instructions: instructions}
-	for i := 0; i < len(refs); {
-		id := refs[i].Bench.ID()
-		j := i
-		uniq := make([]int, 0, 8)
-		seenIdx := make(map[int]bool)
-		for j < len(refs) && refs[j].Bench.ID() == id {
-			if !seenIdx[refs[j].Index] {
-				seenIdx[refs[j].Index] = true
-				uniq = append(uniq, refs[j].Index)
-			}
-			j++
-		}
-		sb := shardBench{id: id, indices: uniq, vectors: stats.NewMatrix(len(uniq), mica.NumMetrics)}
-		for r, idx := range uniq {
-			copy(sb.vectors.Row(r), vecs[ik{id, idx}])
-		}
-		merged.benches = append(merged.benches, sb)
-		i = j
+	merged := newShardArtifact(all, rows, instructions)
+	benches := make([]int, e.reg.Len())
+	for i := range benches {
+		benches[i] = i
 	}
-	all := make([]int, e.reg.Len())
-	for i := range all {
-		all[i] = i
-	}
-	_ = e.cache.PutBinary(e.keys.shardKey(0, 1, all, len(refs)), merged)
+	_ = e.cache.PutBinary(e.keys.shardKey(0, 1, benches, len(refs)), &merged)
 
 	span.End()
 	e.cfg.Metrics.Add("engine.delta_reused_rows", int64(reused))
@@ -579,11 +559,10 @@ func FoldTimelineStats(b *bench.Benchmark, cfg Config, tl *Timeline) (int, *stat
 	if tl == nil || tl.Vectors == nil {
 		return 0, nil, fmt.Errorf("core: no timeline vectors to fold")
 	}
-	cache, err := fcache.Open(cfg.CacheDir)
+	cache, err := openCache(cfg)
 	if err != nil {
 		return 0, nil, err
 	}
-	cache.SetMetrics(cfg.Metrics)
 
 	key := runningKey(b, cfg)
 	art := &runningArtifact{}

@@ -276,47 +276,6 @@ func TestBaselineManifestCodec(t *testing.T) {
 	}
 }
 
-// TestMemoBudgetEviction pins the memo's byte-budget behavior: FIFO
-// eviction under pressure, oversized datasets never stored, negative
-// budgets disabling storage entirely.
-func TestMemoBudgetEviction(t *testing.T) {
-	mk := func(rows int) *Dataset {
-		return &Dataset{Raw: stats.NewMatrix(rows, 10)}
-	}
-	key := func(i int) datasetMemoKey {
-		return datasetMemoKey{hash: uint64(i), rows: i, dir: t.Name()}
-	}
-	size := datasetBytes(mk(10)) // 10 rows x 10 cols
-
-	budget := 2*size + size/2 // fits two datasets, not three
-	storeDataset(key(1), mk(10), budget)
-	storeDataset(key(2), mk(10), budget)
-	storeDataset(key(3), mk(10), budget)
-	if _, ok := lookupDataset(key(1)); ok {
-		t.Fatal("oldest entry not evicted under budget pressure")
-	}
-	for _, i := range []int{2, 3} {
-		if _, ok := lookupDataset(key(i)); !ok {
-			t.Fatalf("entry %d evicted, want resident", i)
-		}
-	}
-
-	storeDataset(key(4), mk(1000), budget) // larger than the whole budget
-	if _, ok := lookupDataset(key(4)); ok {
-		t.Fatal("dataset larger than the budget was stored")
-	}
-	for _, i := range []int{2, 3} {
-		if _, ok := lookupDataset(key(i)); !ok {
-			t.Fatalf("oversized store evicted resident entry %d", i)
-		}
-	}
-
-	storeDataset(key(5), mk(10), -1)
-	if _, ok := lookupDataset(key(5)); ok {
-		t.Fatal("negative budget stored a dataset")
-	}
-}
-
 // TestFoldTimelineStats pins the merge-able interval statistics: a fold
 // is idempotent per interval identity, a deeper timeline folds exactly
 // the intervals it adds, and the accumulator matches a direct pass over

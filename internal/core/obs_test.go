@@ -75,19 +75,22 @@ func TestRunReport(t *testing.T) {
 	if got := rep.Counters["kmeans.lloyd_iters"]; got <= 0 {
 		t.Fatalf("kmeans.lloyd_iters = %d", got)
 	}
-	// Cold run: every unique interval was a miss and then a write.
-	if got := rep.Counters["fcache.misses"]; got != int64(res.Dataset.UniqueIntervals) {
-		t.Fatalf("fcache.misses = %d, want %d", got, res.Dataset.UniqueIntervals)
+	// Cold run: every unique interval was a vector miss and then a write.
+	if got := rep.Counters["fcache.misses.vector"]; got != int64(res.Dataset.UniqueIntervals) {
+		t.Fatalf("fcache.misses.vector = %d, want %d", got, res.Dataset.UniqueIntervals)
 	}
-	if got := rep.Counters["fcache.hits"]; got != 0 {
-		t.Fatalf("cold fcache.hits = %d", got)
+	if got := rep.Counters["fcache.hits.vector"]; got != 0 {
+		t.Fatalf("cold fcache.hits.vector = %d", got)
 	}
 
-	// Warm run with its own collector: hits must match the Dataset's
-	// CacheHits accounting exactly.
+	// A half-size sample draws a subset of the same intervals (each
+	// benchmark's draws are a prefix of the full sample's) under new
+	// artifact keys, so only the vector tier can serve it: its hits must
+	// match the Dataset's CacheHits accounting exactly.
 	// Run received cfg by value, so the test's copy still has nil
 	// sub-config collectors; the fresh one inherits cleanly.
 	warmCfg := cfg
+	warmCfg.SamplesPerBenchmark = cfg.SamplesPerBenchmark / 2
 	warmCfg.Metrics = obs.New()
 	warmCfg.ReportPath = filepath.Join(t.TempDir(), "warm.json")
 	warm, err := Run(reg, warmCfg, nil)
@@ -95,10 +98,10 @@ func TestRunReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmRep := warmCfg.Metrics.Snapshot()
-	if warmRep.Counters["fcache.hits"] != int64(warm.Dataset.CacheHits) ||
+	if warmRep.Counters["fcache.hits.vector"] != int64(warm.Dataset.CacheHits) ||
 		warm.Dataset.CacheHits != warm.Dataset.UniqueIntervals {
-		t.Fatalf("fcache.hits = %d, Dataset.CacheHits = %d, unique = %d — counters disagree",
-			warmRep.Counters["fcache.hits"], warm.Dataset.CacheHits, warm.Dataset.UniqueIntervals)
+		t.Fatalf("fcache.hits.vector = %d, Dataset.CacheHits = %d, unique = %d — counters disagree",
+			warmRep.Counters["fcache.hits.vector"], warm.Dataset.CacheHits, warm.Dataset.UniqueIntervals)
 	}
 
 	// Observability must be free of observable effect: an uninstrumented

@@ -97,9 +97,9 @@ type Result struct {
 // sequence of engine stages (sample → characterize → pca → scores →
 // kmeans → prominent; see engine.go). logf, if non-nil, receives
 // progress lines. With cfg.Shard.Count > 1 the characterize stage merges
-// per-shard dataset artifacts; with cfg.Resume every stage whose
-// artifact is present and valid is loaded instead of recomputed. Both
-// paths produce results byte-identical to the plain in-process run.
+// per-shard dataset artifacts; with a cache, every stage whose artifact
+// is present and valid is loaded instead of recomputed. Both paths
+// produce results byte-identical to the plain in-process run.
 func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any)) (*Result, error) {
 	start := time.Now()
 	if logf == nil {
@@ -131,7 +131,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 
 	logf("characterizing %d sampled intervals (%d benchmarks, %d instructions each)...",
 		len(refs), reg.Len(), cfg.IntervalLength)
-	ds, _, err := eng.characterize(refs)
+	ds, err := eng.characterize(refs)
 	if err != nil {
 		return nil, err
 	}
@@ -150,7 +150,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	if frozen != nil {
 		pca, scores, cl = frozen.pca, frozen.scores, frozen.clusters
 	} else {
-		if _, err := eng.stage("pca", eng.pcaKey(), &pca, ds.Raw.Rows, func() error {
+		if err := eng.stage("pca", eng.pcaKey(), &pca, ds.Raw.Rows, func() error {
 			span := cfg.Metrics.StartSpan("pca").SetRows(ds.Raw.Rows)
 			defer span.End()
 			p, err := stats.ComputePCA(ds.Raw, true)
@@ -163,7 +163,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 			return nil, err
 		}
 
-		if _, err := eng.stage("scores", eng.scoresKey(), &scores, ds.Raw.Rows, func() error {
+		if err := eng.stage("scores", eng.scoresKey(), &scores, ds.Raw.Rows, func() error {
 			span := cfg.Metrics.StartSpan("scores").SetRows(ds.Raw.Rows)
 			defer span.End()
 			s, err := pca.RescaledScores(ds.Raw, pca.NumRetained(cfg.MinPCStd))
@@ -183,7 +183,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	// count (Validate resolved them above).
 	k := cfg.NumClusters
 	if frozen == nil {
-		if _, err := eng.stage("kmeans", eng.clusterKey(), &cl, scores.Rows, func() error {
+		if err := eng.stage("kmeans", eng.clusterKey(), &cl, scores.Rows, func() error {
 			logf("k-means: k=%d over %d intervals in %d dimensions (%d restarts, %d workers)...",
 				k, scores.Rows, scores.Cols, max(1, cfg.KMeans.Restarts), cfg.Workers)
 			span := cfg.Metrics.StartSpan("kmeans").SetRows(scores.Rows).SetWorkers(cfg.Workers)
@@ -218,7 +218,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 		sum.phases = res.summarizeProminent(cfg.NumProminent)
 		span.End()
 		eng.markStage("prominent", "computed")
-	} else if _, err := eng.stage("prominent", eng.summaryKey(), sum, len(cl.Assignments), func() error {
+	} else if err := eng.stage("prominent", eng.summaryKey(), sum, len(cl.Assignments), func() error {
 		span := cfg.Metrics.StartSpan("prominent").SetRows(len(cl.Assignments))
 		defer span.End()
 		sum.phases = res.summarizeProminent(cfg.NumProminent)

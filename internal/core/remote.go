@@ -27,7 +27,7 @@ func ShardArtifactVersion() uint32 { return artifactVersion() }
 // bit-identical shard artifacts, so the hash is exchanged on every
 // shard RPC to detect registry or configuration divergence.
 func DatasetHash(reg *bench.Registry, cfg Config) (uint64, error) {
-	cfg.Shard, cfg.CacheDir, cfg.Resume = ShardSpec{}, "", false
+	cfg.Shard, cfg.CacheDir = ShardSpec{}, ""
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
@@ -120,17 +120,14 @@ func PutShardArtifact(reg *bench.Registry, cfg Config, payload []byte) (*ShardIn
 	if reg.Len() == 0 {
 		return nil, fmt.Errorf("core: empty benchmark registry")
 	}
-	var art shardArtifact
-	if err := art.UnmarshalBinary(payload); err != nil {
-		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
-	}
 	refs := SampleRefs(reg, cfg)
 	eng, err := newEngine(reg, cfg, refs, func(string, ...any) {})
 	if err != nil {
 		return nil, err
 	}
 	p := eng.planShards(refs)[index]
-	if err := verifyShardCoverage(&art, p); err != nil {
+	art := &coveredShard{work: p.work}
+	if err := art.UnmarshalBinary(payload); err != nil {
 		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
 	}
 	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
@@ -148,37 +145,4 @@ func PutShardArtifact(reg *bench.Registry, cfg Config, payload []byte) (*ShardIn
 		UniqueIntervals: art.uniqueCount(),
 		Instructions:    art.instructions,
 	}, nil
-}
-
-// verifyShardCoverage checks that the artifact holds exactly the shard
-// plan's unique intervals in first-appearance order — the structure
-// computeShard produces, and the structure the merge stage depends on.
-func verifyShardCoverage(art *shardArtifact, p shardPlan) error {
-	type ik struct {
-		id    string
-		index int
-	}
-	seen := make(map[ik]bool, len(p.refs))
-	var want []ik
-	for _, r := range p.refs {
-		k := ik{r.Bench.ID(), r.Index}
-		if !seen[k] {
-			seen[k] = true
-			want = append(want, k)
-		}
-	}
-	if got := art.uniqueCount(); got != len(want) {
-		return fmt.Errorf("holds %d unique intervals, want %d", got, len(want))
-	}
-	pos := 0
-	for bi := range art.benches {
-		sb := &art.benches[bi]
-		for _, idx := range sb.indices {
-			if want[pos].id != sb.id || want[pos].index != idx {
-				return fmt.Errorf("interval %d is %s#%d, want %s#%d", pos, sb.id, idx, want[pos].id, want[pos].index)
-			}
-			pos++
-		}
-	}
-	return nil
 }

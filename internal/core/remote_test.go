@@ -147,4 +147,7 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 	if got := m.Counter("fcache.corrupt_deleted").Value(); got != 1 {
 		t.Errorf("fcache.corrupt_deleted = %d, want 1 (the stale shard entry)", got)
 	}
+	if got := m.Counter("engine.shards_computed").Value(); got != 2 {
+		t.Errorf("engine.shards_computed = %d, want 2 (the stale shard and the missing one)", got)
+	}
 }

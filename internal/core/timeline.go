@@ -7,11 +7,9 @@ import (
 	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/fcache"
-	"repro/internal/isa"
 	"repro/internal/mica"
 	"repro/internal/par"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Per-benchmark phase detection (the SimPoint-style analysis of the
@@ -36,7 +34,9 @@ type Timeline struct {
 
 // AnalyzeTimeline detects phases in one benchmark's execution. maxPhases
 // bounds the BIC model search (the paper-adjacent SimPoint tooling uses a
-// small maximum, typically 10).
+// small maximum, typically 10). With a cache configured the whole
+// analysis is one artifact: a repeat loads it, and a miss recomputes
+// over cached interval vectors.
 func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -44,71 +44,46 @@ func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, 
 	if maxPhases < 1 {
 		return nil, fmt.Errorf("core: maxPhases %d < 1", maxPhases)
 	}
-	var cache *fcache.Cache
-	if cfg.CacheDir != "" {
-		var err error
-		if cache, err = fcache.Open(cfg.CacheDir); err != nil {
-			return nil, err
-		}
-		cache.SetMetrics(cfg.Metrics)
-	}
-	total := b.ScaledIntervals(cfg.MaxIntervalsPerBenchmark)
-	var tKey fcache.Key
-	if cache != nil {
-		tKey = timelineKey(b, cfg, maxPhases, total)
-		if cfg.Resume {
-			// Resume: the whole analysis is one persisted artifact. A
-			// corrupt or missing entry just falls through to recompute.
-			art := &timelineArtifact{}
-			if cache.GetBinary(tKey, art) {
-				cfg.Metrics.StartSpan("timeline.resume").SetRows(total).SetResumed(true).End()
-				cfg.Metrics.Add("engine.resumed.timeline", 1)
-				return &art.t, nil
-			}
-		}
-	}
-	// Characterize the intervals over the worker pool (one analyzer per
-	// worker, one matrix row per interval — worker-count deterministic),
-	// reusing cached interval vectors when a cache is configured.
-	vectors := stats.NewMatrix(total, mica.NumMetrics)
-	workers := par.Workers(cfg.Workers)
-	span := cfg.Metrics.StartSpan("timeline.characterize").SetRows(total).SetWorkers(workers)
-	analyzers := make([]*mica.Analyzer, workers)
-	buffers := make([][]isa.Instruction, workers)
-	errs := make([]error, total)
-	par.ForWorker(workers, total, func(w, i int) {
-		beh := b.BehaviorAt(i, total)
-		seed := b.IntervalSeed(i)
-		var key fcache.Key
-		if cache != nil {
-			key = VectorKey(beh, seed, cfg.IntervalLength)
-			if v, ok := cache.GetVector(key, mica.NumMetrics); ok {
-				copy(vectors.Row(i), v)
-				return
-			}
-		}
-		analyzer := analyzers[w]
-		if analyzer == nil {
-			analyzer = mica.NewAnalyzer()
-			analyzers[w] = analyzer
-			buffers[w] = make([]isa.Instruction, trace.DefaultBatchSize)
-		}
-		analyzer.Reset()
-		if err := trace.GenerateIntervalBatches(beh, seed, cfg.IntervalLength, buffers[w], analyzer.RecordBatch); err != nil {
-			errs[i] = err
-			return
-		}
-		copy(vectors.Row(i), analyzer.Vector())
-		if cache != nil {
-			_ = cache.PutVector(key, vectors.Row(i))
-		}
-	})
-	span.End()
-	if err := par.FirstError(errs); err != nil {
+	cache, err := openCache(cfg)
+	if err != nil {
 		return nil, err
 	}
+	total := b.ScaledIntervals(cfg.MaxIntervalsPerBenchmark)
+	art := &timelineArtifact{}
+	loaded, err := getOrCompute(cache, timelineKey(b, cfg, maxPhases, total), art, func() error {
+		tl, err := detectPhases(b, cfg, maxPhases, total, cache)
+		if err == nil {
+			art.t = *tl
+		}
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	if loaded {
+		cfg.Metrics.StartSpan("timeline.resume").SetRows(total).SetResumed(true).End()
+		cfg.Metrics.Add("engine.resumed.timeline", 1)
+	}
+	return &art.t, nil
+}
 
-	span = cfg.Metrics.StartSpan("timeline.pca").SetRows(total)
+// detectPhases is AnalyzeTimeline's computation: characterize the
+// benchmark's total intervals in order, then cluster them.
+func detectPhases(b *bench.Benchmark, cfg Config, maxPhases, total int, cache *fcache.Cache) (*Timeline, error) {
+	refs := make([]IntervalRef, total)
+	for i := range refs {
+		refs[i] = IntervalRef{Bench: b, Index: i, Total: total}
+	}
+	rows, _, _, err := characterizeUnique("timeline.characterize", refs, cfg, cache)
+	if err != nil {
+		return nil, err
+	}
+	vectors := stats.NewMatrix(total, mica.NumMetrics)
+	for i, v := range rows {
+		copy(vectors.Row(i), v)
+	}
+
+	span := cfg.Metrics.StartSpan("timeline.pca").SetRows(total)
 	pca, err := stats.ComputePCA(vectors, true)
 	span.End()
 	if err != nil {
@@ -126,7 +101,7 @@ func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, 
 
 	// SimPoint-style model selection: smallest k reaching 90% of the
 	// BIC range.
-	span = cfg.Metrics.StartSpan("timeline.selectk").SetRows(total).SetWorkers(workers)
+	span = cfg.Metrics.StartSpan("timeline.selectk").SetRows(total).SetWorkers(par.Workers(cfg.Workers))
 	best, err := cluster.SelectK(scores, 1, maxPhases, 0.9,
 		cluster.Options{Seed: cfg.Seed, Restarts: 2, MaxIters: 50, Workers: cfg.Workers, Metrics: cfg.Metrics})
 	span.End()
@@ -149,19 +124,13 @@ func AnalyzeTimeline(b *bench.Benchmark, cfg Config, maxPhases int) (*Timeline, 
 			transitions++
 		}
 	}
-	tl := &Timeline{
+	return &Timeline{
 		BenchID:     b.ID(),
 		Phases:      phases,
 		NumPhases:   len(relabel),
 		Transitions: transitions,
 		Vectors:     vectors,
-	}
-	if cache != nil {
-		// Best-effort, like every artifact write: a failure only costs a
-		// future recompute.
-		_ = cache.PutBinary(tKey, &timelineArtifact{t: *tl})
-	}
-	return tl, nil
+	}, nil
 }
 
 // Strip renders the timeline as a one-character-per-interval strip, e.g.

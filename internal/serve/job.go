@@ -51,8 +51,8 @@ type JobSpec struct {
 
 // build materializes the spec into the registry and config the
 // equivalent CLI invocation would run — the preset switch and override
-// ladder mirror cmd/phasechar exactly. The cache directory, resume mode
-// and metrics sink are the service's to fill in afterwards.
+// ladder mirror cmd/phasechar exactly. The cache directory and metrics
+// sink are the service's to fill in afterwards.
 func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
 	cfg := core.DefaultConfig()
 	switch sp.Preset {

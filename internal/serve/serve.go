@@ -281,11 +281,10 @@ func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
 		return nil, err
 	}
 	// The service fills in what the spec must not control: every job
-	// shares the service cache (resume mode, so stage artifacts of
-	// earlier identical jobs — and the hot tier holding them — answer
-	// repeat queries), and reports into the service collector.
+	// shares the service cache (so stage artifacts of earlier identical
+	// jobs — and the hot tier holding them — answer repeat queries), and
+	// reports into the service collector.
 	cfg.CacheDir = s.cfg.CacheDir
-	cfg.Resume = true
 	cfg.Metrics = s.m
 	res, err := core.Run(reg, cfg, nil)
 	if err != nil {

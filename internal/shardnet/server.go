@@ -175,10 +175,3 @@ func (s *Server) Serve(ctx context.Context, addr string, ready func(net.Addr)) e
 		return err
 	}
 }
-
-// ListenAndServe is Serve without cancellation: it serves until the
-// listener fails. Kept for callers (and scripts) that manage worker
-// lifetime by killing the process.
-func (s *Server) ListenAndServe(addr string, ready func(net.Addr)) error {
-	return s.Serve(context.Background(), addr, ready)
-}

@@ -13,7 +13,7 @@
 # to a single workers=1 entry on single-core machines), and the
 # measurement kernel itself: BenchmarkCharacterize (cold generate+measure,
 # ns/instruction and instructions/s) and BenchmarkCharacterizeCached (the
-# same run served entirely from a warm interval-vector cache), and the
+# same run served from the cache's whole-dataset artifact), and the
 # incremental engine: BenchmarkCharacterizeAppend prices a one-benchmark
 # append onto a cached baseline (delta characterize + frozen-basis PCA +
 # warm-started k-means) against the cold full-roster control as an
@@ -62,7 +62,7 @@ END {
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm (in-process dataset memo over the interval-vector cache). Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch), Fig1GASweep paired-median 4.7x (range 4.1-6.7x; dataset memo removes the repeated trace substrate, ~22%% Jacobi now flat+workspaced, GA fitness on pooled PCA workspaces), CharacterizeCached ~55x ns/op and ~107x B/op (2.06 MB -> 19 kB, 16334 -> 2 allocs/op). Fig1 decomposition pre-memo: ~65%% trace substrate, ~22%% JacobiEigen. BenchmarkCharacterizeAppend/{cold,incremental} is an interleaved pair: incremental restores an N-1 baseline off the clock, then times a true one-benchmark append; the reported delta-stages (want 4) and reused-rows prove the fast path ran instead of silently falling back cold. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
+    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the whole-dataset cache artifact (one shard-kind entry, ~290 allocs/op). Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan nearest-center kernel + Hamerly-style bounds + pooled scratch), Fig1GASweep paired-median 4.7x (range 4.1-6.7x; then including an in-process dataset memo, since removed, that served repeated iterations without the trace substrate; ~22%% Jacobi now flat+workspaced, GA fitness on pooled PCA workspaces), CharacterizeCached ~55x ns/op with that memo (2.06 MB -> 19 kB, 16334 -> 2 allocs/op; the dataset artifact that replaced it reads ~1.2 ms and ~290 allocs/op). Fig1 decomposition without the memo: ~65%% trace substrate, ~22%% JacobiEigen. BenchmarkCharacterizeAppend/{cold,incremental} is an interleaved pair: incremental restores an N-1 baseline off the clock, then times a true one-benchmark append; the reported delta-stages (want 4) and reused-rows prove the fast path ran instead of silently falling back cold. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= count; i++)
         printf "%s%s\n", rows[i], (i < count ? "," : "")

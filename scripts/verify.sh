@@ -2,7 +2,7 @@
 # Repo verification gate: build, vet, the full test suite, vet and
 # smoke tests of the benchmark module, the race detector over every
 # package, short fuzz runs over every binary decoder, the
-# shard-merge/resume equivalence check on the quick pipeline, the
+# shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
 # incremental append byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
@@ -82,10 +82,11 @@ EOF
 
 echo "== allocation gate (BenchmarkCharacterizeCached)"
 # The cache-warm characterization path is pinned to a per-op allocation
-# ceiling: the kernel/memo work brought it to single-digit allocs/op, and
-# a regression back toward the historical ~7k allocs/op should fail the
-# gate loudly. CHAR_CACHED_ALLOC_CEILING overrides the ceiling (e.g. for
-# instrumented builds).
+# ceiling: a repeat is served from one dataset artifact in a few hundred
+# allocs/op (a handful per decoded benchmark entry), and a regression
+# back toward the historical ~7k allocs/op (one per interval-vector read)
+# should fail the gate loudly. CHAR_CACHED_ALLOC_CEILING overrides the
+# ceiling (e.g. for instrumented builds).
 ALLOC_CEILING="${CHAR_CACHED_ALLOC_CEILING:-512}"
 allocs="$(go test -run '^$' -bench 'BenchmarkCharacterizeCached$' -benchtime 2x -benchmem . |
   awk '/^BenchmarkCharacterizeCached/ { for (i = 1; i < NF; i++) if ($(i + 1) == "allocs/op") print $i }')"
@@ -99,11 +100,14 @@ if [ "$allocs" -gt "$ALLOC_CEILING" ]; then
 fi
 echo "allocation gate: $allocs allocs/op <= $ALLOC_CEILING"
 
-echo "== shard-merge + resume equivalence (quick pipeline)"
+echo "== shard-merge + rerun-over-cache equivalence (quick pipeline)"
 # The engine's load-bearing invariant, end to end through the CLI: a
-# 3-shard characterization merged by the analysis run, and a resumed
+# 3-shard characterization merged by the analysis run, and an unsharded
 # rerun over the same cache, must both export byte-identically to the
-# plain single-process run.
+# plain single-process run — and the rerun's report must prove it reused
+# the cache (rather than silently recomputing): it generated no interval
+# (its unsharded dataset is new, so it assembles from the vector tier)
+# and resumed every analysis stage the merge run persisted.
 go build -o "$tmp/phasechar" ./cmd/phasechar
 "$tmp/phasechar" -quick -quiet export > "$tmp/single.json"
 for i in 0 1 2; do
@@ -111,8 +115,19 @@ for i in 0 1 2; do
 done
 "$tmp/phasechar" -quick -quiet -cache "$tmp/cache" -merge 3 export > "$tmp/merged.json"
 cmp "$tmp/single.json" "$tmp/merged.json"
-"$tmp/phasechar" -quick -quiet -cache "$tmp/cache" -resume export > "$tmp/resumed.json"
+"$tmp/phasechar" -quick -quiet -cache "$tmp/cache" \
+  -report "$tmp/rerun_report.json" export > "$tmp/resumed.json"
 cmp "$tmp/single.json" "$tmp/resumed.json"
+python3 - "$tmp/rerun_report.json" <<'EOF'
+import json, sys
+
+c = json.load(open(sys.argv[1]))["counters"]
+assert c.get("fcache.misses.vector", 0) == 0, f"rerun generated {c['fcache.misses.vector']} intervals"
+for stage in ("pca", "scores", "kmeans", "prominent"):
+    got = c.get(f"engine.resumed.{stage}", 0)
+    assert got == 1, f"rerun resumed {stage} {got} times, want 1: {sorted(k for k in c if k.startswith('engine.'))}"
+print("rerun gate: no interval generated; pca, scores, kmeans, prominent resumed")
+EOF
 
 echo "== workload-model round-trip gate"
 # Suites as data, end to end through the CLI: the built-in roster
