@@ -13,6 +13,7 @@ package repro
 import (
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -273,7 +274,14 @@ func workerCounts() []int {
 
 // BenchmarkKMeansParallel measures the parallel k-means restarts and
 // assignment kernel across worker counts; results are identical for all
-// of them, so the comparison is pure speedup.
+// of them, so the comparison is pure speedup. The workers=N rows cluster
+// uniform noise, which has no structure for the pruned Lloyd passes to
+// exploit. The clustered/workers=N rows run the shape the pipeline
+// clusters: warm-reanalyze's 11,550 rescaled 9-PC scores at k = 300, 3
+// restarts and 60 iterations, stood in for by Gaussian blobs of uneven
+// spread; center-evals/op counts the row×center distance evaluations
+// the pruning left (a full scan on every pass would do
+// (iterations + restarts) x rows x k).
 func BenchmarkKMeansParallel(b *testing.B) {
 	rng := trace.NewRNG(2)
 	data := stats.NewMatrix(3000, 15)
@@ -296,6 +304,47 @@ func BenchmarkKMeansParallel(b *testing.B) {
 			b.ReportMetric(rowsPerOp*float64(b.N)/b.Elapsed().Seconds(), "restart-rows/s")
 		})
 	}
+	scores := clusteredScores(11550, 9, 231, 7)
+	for _, workers := range workerCounts() {
+		b.Run(fmt.Sprintf("clustered/workers=%d", workers), func(b *testing.B) {
+			m := obs.New()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				res, err := cluster.KMeans(scores, 300, cluster.Options{
+					Seed: 1, Restarts: 3, MaxIters: 60, Workers: workers, Metrics: m,
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.ReportMetric(res.Inertia, "inertia")
+			}
+			b.ReportMetric(float64(m.Counter("kmeans.center_evals").Value())/float64(b.N), "center-evals/op")
+		})
+	}
+}
+
+// clusteredScores draws rows points around blobs Gaussian centers in dims
+// dimensions, each blob with its own spread, rows dealt round-robin — a
+// stand-in for rescaled PCA scores, which cluster into phases of uneven
+// tightness.
+func clusteredScores(rows, dims, blobs int, seed int64) *stats.Matrix {
+	rng := rand.New(rand.NewSource(seed))
+	centers := stats.NewMatrix(blobs, dims)
+	spread := make([]float64, blobs)
+	for c := 0; c < blobs; c++ {
+		for j := range centers.Row(c) {
+			centers.Row(c)[j] = 2 * rng.NormFloat64()
+		}
+		spread[c] = 0.1 + 0.5*rng.Float64()
+	}
+	data := stats.NewMatrix(rows, dims)
+	for i := 0; i < rows; i++ {
+		c := i % blobs
+		for j, v := range centers.Row(c) {
+			data.Row(i)[j] = v + spread[c]*rng.NormFloat64()
+		}
+	}
+	return data
 }
 
 // BenchmarkGAFitnessParallel measures concurrent genome evaluation with a

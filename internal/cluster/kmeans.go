@@ -9,15 +9,29 @@
 // and floating-point reductions performed in a fixed chunk order, so the
 // Result is byte-identical whether Options.Workers is 1 or 64.
 //
+// Both halves of a fit skip only work that provably cannot change its
+// result, so every fit is bit-identical to plain k-means++ seeding and
+// full-scan Lloyd iterations (reference_test.go pins this):
+//
+//   - Seeding keeps each row's nearest seed. A new seed more than twice
+//     the row's distance from that seed is farther from the row than the
+//     seed is (triangle inequality), so the row's D² cannot fall and the
+//     row is skipped.
+//   - Lloyd follows Yinyang k-means (Ding et al., ICML 2015). The centers
+//     are split once per fit into ceil(k/32) groups (groups.go); each row
+//     keeps an upper bound on the distance to its assigned center and one
+//     lower bound per group on the distance to that group's other
+//     centers, each widened only by its own group's largest center move.
+//     A row whose bounds separate skips the scan; otherwise it rescans
+//     only the groups whose bounds fail. Bounds carry a round-off margin,
+//     ties break to the lowest g and then the lowest center index exactly
+//     as a full scan does, and the first and final passes are full scans.
+//
 // The assignment inner loop — the O(n·k·d) cost center of the whole
-// analysis — runs on the shared internal/kernel primitives and a
-// Hamerly-style bounded Lloyd iteration: each row carries an upper bound
-// on the distance to its assigned center and a lower bound on the
-// distance to every other center, both widened by how far the centers
-// moved, and rows whose bounds prove the assignment unchanged skip the
-// scan over centers entirely. Bound decisions are per-row (never shared
-// across rows or workers) and the first and final passes are always
-// exact full scans, so the fit stays deterministic at any worker count.
+// analysis — runs on the internal/kernel column scan over a transposed,
+// group-contiguous block of centers. Bound decisions are per-row, never
+// shared across rows or workers, so the fit stays deterministic at any
+// worker count.
 package cluster
 
 import (
@@ -50,9 +64,13 @@ type Options struct {
 	// Workers bounds clustering parallelism; values < 1 mean GOMAXPROCS.
 	// The result is identical for any worker count.
 	Workers int
-	// Metrics, when non-nil, receives clustering counters
-	// (kmeans.restarts, kmeans.lloyd_iters, kmeans.selectk_fits).
-	// Metrics never influence the fit, so determinism is unaffected.
+	// Metrics, when non-nil, receives clustering counters:
+	// kmeans.restarts, kmeans.refines and kmeans.selectk_fits (fits
+	// started), kmeans.lloyd_iters (Lloyd iterations, not counting the
+	// final exact pass), kmeans.center_evals (row×center distance
+	// evaluations in Lloyd) and kmeans.seed_evals (distance evaluations
+	// in k-means++ seeding). Metrics never influence the fit, so
+	// determinism is unaffected.
 	Metrics *obs.Metrics `json:"-"`
 }
 
@@ -85,19 +103,19 @@ type Result struct {
 	BIC float64
 }
 
-// lloydScratch is the pooled per-restart working set: assignment and
-// bound arrays, the center matrices and the accumulator matrix. Every
-// field is fully (re)initialized by lloyd before it is read, so a
-// recycled scratch can never leak state between restarts — which is
-// what keeps pooled runs bit-identical to fresh-allocation runs.
+// lloydScratch is the pooled per-restart working set: assignment,
+// distance and upper-bound arrays, the center matrices and the
+// accumulator matrix. Every field is fully (re)initialized before it is
+// read, so a recycled scratch can never leak state between restarts —
+// which is what keeps pooled runs bit-identical to fresh-allocation runs.
+// The per-group lower bounds are allocated per fit instead: pooled, their
+// n·groups floats would stay live between fits and raise the GC goal.
 type lloydScratch struct {
-	assign     []int
-	dist2      []float64 // exact d² to the assigned center where known
-	upper      []float64 // Hamerly upper bound on d(x, assigned center)
-	lower      []float64 // Hamerly lower bound on d(x, any other center)
+	assign     []int     // assigned center; each row's nearest seed while seeding
+	dist2      []float64 // exact d² to the assigned center after a full pass or refresh; D² while seeding
+	upper      []float64 // upper bound on d(x, assigned center), before the round-off margin
 	centerNorm []float64
 	delta      []float64 // per-center move distance of the last update
-	centersT   []float64 // centers transposed to column-major for DotCols
 	sizes      []int
 	sums       *stats.Matrix
 	centers    *stats.Matrix
@@ -105,22 +123,6 @@ type lloydScratch struct {
 }
 
 var scratchPool sync.Pool
-
-// dotsPool recycles the k-sized per-worker dot-product scratch used by
-// the column scans; each ForChunks chunk takes one for its rows. The
-// pool stores *dotsBuf so the Get/Put round trip never allocates.
-var dotsPool sync.Pool
-
-type dotsBuf struct{ s []float64 }
-
-func getDots(k int) *dotsBuf {
-	db, _ := dotsPool.Get().(*dotsBuf)
-	if db == nil {
-		db = &dotsBuf{}
-	}
-	db.s = growF64(db.s, k)
-	return db
-}
 
 // The grow helpers live in internal/kernel (slices) and stats
 // (matrices) — shared with the stats workspace instead of duplicated
@@ -143,15 +145,26 @@ func getScratch(n, k, d int) *lloydScratch {
 	sc.assign = growInts(sc.assign, n)
 	sc.dist2 = growF64(sc.dist2, n)
 	sc.upper = growF64(sc.upper, n)
-	sc.lower = growF64(sc.lower, n)
 	sc.centerNorm = growF64(sc.centerNorm, k)
 	sc.delta = growF64(sc.delta, k)
-	sc.centersT = growF64(sc.centersT, k*d)
 	sc.sizes = growInts(sc.sizes, k)
 	sc.sums = growMatrix(sc.sums, k, d)
 	sc.centers = growMatrix(sc.centers, k, d)
 	sc.prev = growMatrix(sc.prev, k, d)
 	return sc
+}
+
+// fitCounters are one fit's metric sinks; nil counters are no-ops.
+type fitCounters struct {
+	iters, centerEvals, seedEvals *obs.Counter
+}
+
+func newFitCounters(m *obs.Metrics) fitCounters {
+	return fitCounters{
+		iters:       m.Counter("kmeans.lloyd_iters"),
+		centerEvals: m.Counter("kmeans.center_evals"),
+		seedEvals:   m.Counter("kmeans.seed_evals"),
+	}
 }
 
 // KMeans clusters the rows of data into k clusters. Restarts run
@@ -168,7 +181,7 @@ func KMeans(data *stats.Matrix, k int, opts Options) (*Result, error) {
 	o := opts.withDefaults()
 
 	o.Metrics.Add("kmeans.restarts", int64(o.Restarts))
-	iters := o.Metrics.Counter("kmeans.lloyd_iters")
+	ctr := newFitCounters(o.Metrics)
 
 	// |x|² per data row, identical across restarts: computed once and
 	// shared read-only by every restart's assignment passes.
@@ -181,7 +194,7 @@ func KMeans(data *stats.Matrix, k int, opts Options) (*Result, error) {
 		rng := rand.New(rand.NewSource(par.DeriveSeed(o.Seed, uint64(r))))
 		sc := getScratch(data.Rows, k, data.Cols)
 		scratches[r] = sc
-		res := lloyd(data, k, o.MaxIters, o.Workers, rng, iters, dataNorm, sc)
+		res := lloyd(data, k, o.MaxIters, o.Workers, rng, ctr, dataNorm, sc)
 		res.BIC = bic(data, res)
 		results[r] = res
 	})
@@ -208,11 +221,11 @@ func KMeans(data *stats.Matrix, k int, opts Options) (*Result, error) {
 	return out, nil
 }
 
-// Refine warm-starts a single bounded Lloyd fit from the given initial
+// Refine warm-starts a single pruned Lloyd fit from the given initial
 // centroids (k = initial.Rows) instead of k-means++ seeding and random
 // restarts — the incremental engine's "the dataset grew a little, the
 // old centroids are almost right" path. The fit runs the exact same
-// lloydIterate core as KMeans (Hamerly bounds, deterministic
+// lloydIterate core as KMeans (per-group bounds, deterministic
 // empty-cluster reseeding, pooled scratch), so it is deterministic and
 // worker-count independent.
 //
@@ -236,14 +249,13 @@ func Refine(data *stats.Matrix, initial *stats.Matrix, opts Options) (*Result, f
 	}
 	o := opts.withDefaults()
 	o.Metrics.Add("kmeans.refines", 1)
-	iters := o.Metrics.Counter("kmeans.lloyd_iters")
 
 	dataNorm := make([]float64, data.Rows)
 	kernel.RowSquaredNorms(data.Data, data.Rows, data.Cols, dataNorm)
 
 	sc := getScratch(data.Rows, k, data.Cols)
 	copy(sc.centers.Data, initial.Data)
-	res := lloydIterate(data, k, o.MaxIters, o.Workers, iters, dataNorm, sc)
+	res := lloydIterate(data, k, o.MaxIters, o.Workers, newFitCounters(o.Metrics), dataNorm, sc)
 	res.BIC = bic(data, res)
 
 	var maxMove float64
@@ -275,31 +287,55 @@ func Refine(data *stats.Matrix, initial *stats.Matrix, opts Options) (*Result, f
 }
 
 // assignFull is the exact Lloyd assignment pass: every row scans every
-// center (kernel.Nearest2Centers, first center wins ties), records its
-// assignment, exact squared distance, and the Hamerly bounds (exact
-// distance to the winner, exact distance to the runner-up). It returns
-// how many assignments changed. Rows are processed in fixed-grain
-// chunks, each row writing only its own slots, so the output is
-// identical for any worker count.
-func assignFull(data, centers *stats.Matrix, dataNorm, centerNorm []float64, sc *lloydScratch, workers int) int {
-	n := data.Rows
+// center — one column-kernel call over the whole block — and records its
+// assignment (ties to the lowest g, then the lowest center index), exact
+// squared distance, upper bound (the distance to the winner) and
+// per-group lower bounds (the distance to each group's nearest other
+// center). It returns how many assignments changed. Rows are processed in
+// fixed-grain chunks, each row writing only its own slots, so the output
+// is identical for any worker count.
+func assignFull(data *stats.Matrix, dataNorm []float64, sc *lloydScratch, cg *centerGroups, lower []float64, workers int) int {
+	n, groups := data.Rows, len(cg.size)
 	changedParts := make([]int, par.Chunks(n, 0))
 	par.ForChunks(workers, n, 0, func(chunk, lo, hi int) {
-		db := getDots(len(centerNorm))
+		buf := getScanBuf(cg.width, groups)
+		dots, m1, m2 := buf.dots, buf.m1, buf.m2
 		changed := 0
 		for i := lo; i < hi; i++ {
-			x := data.Row(i)
-			best, bestG, secondG := kernel.Nearest2CentersCols(x, sc.centersT, centerNorm, db.s)
+			kernel.DotColsRange(data.Row(i), cg.ct, cg.width, 0, cg.width, dots)
+			bestG := math.Inf(1)
+			for g := 0; g < groups; g++ {
+				m1[g], m2[g] = cg.groupMin2(g, dots)
+				bestG = min(bestG, m1[g])
+			}
+			// The winner is the lowest center index holding bestG; each
+			// group's first slot at bestG is its lowest such index.
+			best, slot := -1, -1
+			for g := 0; g < groups; g++ {
+				if m1[g] == bestG {
+					if s := cg.firstAt(g, dots, bestG); s >= 0 && (best < 0 || cg.slotCenter[s] < best) {
+						best, slot = cg.slotCenter[s], s
+					}
+				}
+			}
+			if best < 0 { // NaN data: no slot holds the minimum
+				best, slot = 0, cg.slotOf[0]
+			}
+			bestG = cg.slotNorm[slot] - 2*dots[slot]
+			lb := lower[i*groups : (i+1)*groups]
+			bg := cg.groupOf[best]
+			for g := range lb {
+				m := m1[g]
+				if g == bg {
+					m = m2[g]
+				}
+				lb[g] = rowDist(dataNorm[i], m)
+			}
 			// g differs from |x-c|² by the constant |x|²; the argmin is
-			// the same and the subtraction is deferred. Cancellation can
-			// push an exact 0 slightly negative, hence the clamps.
+			// the same and the addition is deferred to here.
 			d2 := dataNorm[i] + bestG
 			if d2 < 0 {
 				d2 = 0
-			}
-			s2 := dataNorm[i] + secondG
-			if s2 < 0 {
-				s2 = 0
 			}
 			if best != sc.assign[i] {
 				sc.assign[i] = best
@@ -307,10 +343,9 @@ func assignFull(data, centers *stats.Matrix, dataNorm, centerNorm []float64, sc 
 			}
 			sc.dist2[i] = d2
 			sc.upper[i] = math.Sqrt(d2)
-			sc.lower[i] = math.Sqrt(s2)
 		}
 		changedParts[chunk] = changed
-		dotsPool.Put(db)
+		scanPool.Put(buf)
 	})
 	total := 0
 	for _, c := range changedParts {
@@ -319,81 +354,112 @@ func assignFull(data, centers *stats.Matrix, dataNorm, centerNorm []float64, sc 
 	return total
 }
 
-// assignBounded is the Hamerly-bounded assignment pass. Each row first
-// widens its bounds by the center movement (upper by the assigned
-// center's move, lower by the largest move anywhere); if the upper
-// bound stays below the lower bound the assignment provably cannot
-// change and the row skips the scan. Otherwise the upper bound is
-// tightened to the exact current distance and re-tested, and only rows
-// that still overlap pay for the full scan. Every decision is a pure
-// per-row function of that row's own state, so the pass is
-// deterministic for any worker count.
-func assignBounded(data, centers *stats.Matrix, dataNorm, centerNorm []float64, sc *lloydScratch, deltaMax float64, workers int) int {
-	n, d := data.Rows, data.Cols
+// assignGrouped is the pruned assignment pass. Each row first widens its
+// bounds by the last update's moves: the upper bound by the assigned
+// center's move, each group's lower bound by that group's largest move.
+// If every lower bound clears the upper bound by margin, no other center
+// can win and the row skips the scan. Otherwise the upper bound is
+// tightened to the exact distance (kernel.DotSerial: the bits the column
+// kernel computes for that center in a full scan) and re-tested, and a
+// row that still fails rescans only the groups whose bounds fail. The
+// assignments are exactly assignFull's. Every decision is a pure per-row
+// function of that row's own state, so the pass is deterministic for any
+// worker count. It returns the number of changed assignments and of
+// row×center evaluations.
+func assignGrouped(data *stats.Matrix, dataNorm []float64, sc *lloydScratch, cg *centerGroups, lower []float64, margin float64, workers int) (int, int64) {
+	n, groups := data.Rows, len(cg.size)
+	centers := sc.centers
 	changedParts := make([]int, par.Chunks(n, 0))
-	cdata := centers.Data
+	evalParts := make([]int64, len(changedParts))
 	par.ForChunks(workers, n, 0, func(chunk, lo, hi int) {
-		db := getDots(len(centerNorm))
+		buf := getScanBuf(cg.width, groups)
+		dots, m1, m2 := buf.dots, buf.m1, buf.m2
 		changed := 0
+		var evals int64
 		for i := lo; i < hi; i++ {
-			c := sc.assign[i]
-			u := sc.upper[i] + sc.delta[c]
-			l := sc.lower[i] - deltaMax
-			if u <= l {
-				sc.upper[i], sc.lower[i] = u, l
+			a := sc.assign[i]
+			u := sc.upper[i] + sc.delta[a]
+			lb := lower[i*groups : (i+1)*groups]
+			minL := math.Inf(1)
+			for g, l := range lb {
+				l -= cg.delta[g]
+				lb[g] = l
+				minL = min(minL, l)
+			}
+			if minL-u > margin {
+				sc.upper[i] = u
 				continue
 			}
 			x := data.Row(i)
-			// Tighten the upper bound to the exact distance and re-test.
-			g := centerNorm[c] - 2*kernel.Dot(x, cdata[c*d:(c+1)*d])
-			d2 := dataNorm[i] + g
-			if d2 < 0 {
-				d2 = 0
-			}
-			u = math.Sqrt(d2)
-			if u <= l {
-				sc.upper[i], sc.lower[i] = u, l
-				sc.dist2[i] = d2
+			aG := sc.centerNorm[a] - 2*kernel.DotSerial(x, centers.Row(a))
+			evals++
+			u = rowDist(dataNorm[i], aG)
+			if minL-u > margin {
+				sc.upper[i] = u
 				continue
 			}
-			best, bestG, secondG := kernel.Nearest2CentersCols(x, sc.centersT, centerNorm, db.s)
-			bd2 := dataNorm[i] + bestG
-			if bd2 < 0 {
-				bd2 = 0
+			best, bestG := a, aG
+			scanned := buf.scanned[:0]
+			for g, l := range lb {
+				if l-u > margin {
+					continue
+				}
+				kernel.DotColsRange(x, cg.ct, cg.width, cg.start[g], cg.start[g+1], dots)
+				evals += int64(cg.size[g])
+				m1[g], m2[g] = cg.groupMin2(g, dots)
+				scanned = append(scanned, g)
+				if m := m1[g]; m <= bestG {
+					if s := cg.firstAt(g, dots, m); s >= 0 && (m < bestG || cg.slotCenter[s] < best) {
+						best, bestG = cg.slotCenter[s], cg.slotNorm[s]-2*dots[s]
+					}
+				}
 			}
-			s2 := dataNorm[i] + secondG
-			if s2 < 0 {
-				s2 = 0
+			ga, bg := cg.groupOf[a], cg.groupOf[best]
+			aScanned := false
+			for _, g := range scanned {
+				m := m1[g]
+				if g == bg {
+					m = m2[g]
+				}
+				lb[g] = rowDist(dataNorm[i], m)
+				aScanned = aScanned || g == ga
 			}
-			if best != c {
+			if best != a {
+				// The old center is now one of its group's others.
+				if !aScanned {
+					lb[ga] = min(lb[ga], u)
+				}
 				sc.assign[i] = best
 				changed++
+				u = rowDist(dataNorm[i], bestG)
 			}
-			sc.dist2[i] = bd2
-			sc.upper[i] = math.Sqrt(bd2)
-			sc.lower[i] = math.Sqrt(s2)
+			sc.upper[i] = u
 		}
 		changedParts[chunk] = changed
-		dotsPool.Put(db)
+		evalParts[chunk] = evals
+		scanPool.Put(buf)
 	})
 	total := 0
 	for _, c := range changedParts {
 		total += c
 	}
-	return total
+	var evals int64
+	for _, e := range evalParts {
+		evals += e
+	}
+	return total, evals
 }
 
 // exactAssignedDist2 refreshes dist2 with the exact squared distance of
 // every row to its currently assigned center — needed before an
-// empty-cluster reseed, where bounded rows may hold stale values.
-func exactAssignedDist2(data, centers *stats.Matrix, dataNorm, centerNorm []float64, sc *lloydScratch, workers int) {
-	n, d := data.Rows, data.Cols
-	cdata := centers.Data
-	par.ForChunks(workers, n, 0, func(_, lo, hi int) {
+// empty-cluster reseed, where pruned rows hold stale values. Each g is
+// the column kernel's serial sum (kernel.DotSerial), so every value
+// carries the bits a full scan would have stored.
+func exactAssignedDist2(data *stats.Matrix, dataNorm []float64, sc *lloydScratch, workers int) {
+	par.ForChunks(workers, data.Rows, 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			c := sc.assign[i]
-			x := data.Row(i)
-			d2 := dataNorm[i] + centerNorm[c] - 2*kernel.Dot(x, cdata[c*d:(c+1)*d])
+			d2 := dataNorm[i] + (sc.centerNorm[c] - 2*kernel.DotSerial(data.Row(i), sc.centers.Row(c)))
 			if d2 < 0 {
 				d2 = 0
 			}
@@ -405,44 +471,45 @@ func exactAssignedDist2(data, centers *stats.Matrix, dataNorm, centerNorm []floa
 // lloyd runs one k-means fit with k-means++ seeding. Seeding and center
 // updates are serial (they are O(n·d), dwarfed by the O(n·k·d) assignment
 // passes, and seeding is inherently sequential in rng consumption); the
-// assignment and inertia passes fan out over workers. iters (possibly a
-// nil no-op sink) receives the number of Lloyd iterations executed.
-// dataNorm carries the shared row-norm cache; sc supplies every working
-// buffer, and the returned Result aliases sc (KMeans copies the winner
-// out before recycling).
-func lloyd(data *stats.Matrix, k, maxIters, workers int, rng *rand.Rand, iters *obs.Counter, dataNorm []float64, sc *lloydScratch) *Result {
-	seedPlusPlus(data, k, rng, sc.centers, sc.dist2)
-	return lloydIterate(data, k, maxIters, workers, iters, dataNorm, sc)
+// assignment and inertia passes fan out over workers. ctr receives the
+// iteration and evaluation counts. dataNorm carries the shared row-norm
+// cache; sc supplies every working buffer, and the returned Result
+// aliases sc (KMeans copies the winner out before recycling).
+func lloyd(data *stats.Matrix, k, maxIters, workers int, rng *rand.Rand, ctr fitCounters, dataNorm []float64, sc *lloydScratch) *Result {
+	ctr.seedEvals.Add(seedPlusPlus(data, k, rng, sc.centers, sc.dist2, sc.assign))
+	return lloydIterate(data, k, maxIters, workers, ctr, dataNorm, sc)
 }
 
 // lloydIterate is the seeding-independent core of lloyd: it iterates to
 // convergence from whatever centers sc.centers already holds. Sharing it
 // between the cold k-means++ path and the warm-start Refine path keeps
 // the two bit-identical whenever they start from the same centers.
-func lloydIterate(data *stats.Matrix, k, maxIters, workers int, iters *obs.Counter, dataNorm []float64, sc *lloydScratch) *Result {
+func lloydIterate(data *stats.Matrix, k, maxIters, workers int, ctr fitCounters, dataNorm []float64, sc *lloydScratch) *Result {
 	n, d := data.Rows, data.Cols
 	centers := sc.centers
 	for i := range sc.assign {
 		sc.assign[i] = -1
 	}
 	centerNorm := sc.centerNorm
-	// The column scans need the centers' norms and the transposed
-	// (column-major) layout refreshed together after every move.
-	updateCenterNorms := func() {
-		kernel.RowSquaredNorms(centers.Data, k, d, centerNorm)
-		kernel.Transpose(centers.Data, k, d, sc.centersT)
-	}
-	updateCenterNorms()
+	kernel.RowSquaredNorms(centers.Data, k, d, centerNorm)
+	margin := boundMargin(d, dataNorm, centerNorm)
+	cg := newCenterGroups(centers, k)
+	cg.load(centers, centerNorm)
+	lower := make([]float64, n*len(cg.size))
+	full := int64(n) * int64(k)
 
-	var deltaMax float64
+	var evals int64
 	for iter := 0; iter < maxIters; iter++ {
 		var changed int
 		if iter == 0 {
-			changed = assignFull(data, centers, dataNorm, centerNorm, sc, workers)
+			changed = assignFull(data, dataNorm, sc, cg, lower, workers)
+			evals += full
 		} else {
-			changed = assignBounded(data, centers, dataNorm, centerNorm, sc, deltaMax, workers)
+			var e int64
+			changed, e = assignGrouped(data, dataNorm, sc, cg, lower, margin, workers)
+			evals += e
 		}
-		iters.Inc()
+		ctr.iters.Inc()
 		if changed == 0 && iter > 0 {
 			break
 		}
@@ -467,9 +534,10 @@ func lloydIterate(data *stats.Matrix, k, maxIters, workers int, iters *obs.Count
 		}
 		if hasEmpty {
 			// Reseeds pick the point farthest from its assigned center;
-			// bounded rows may hold stale distances, so refresh them
+			// pruned rows may hold stale distances, so refresh them
 			// against the centers the assignment pass used.
-			exactAssignedDist2(data, centers, dataNorm, centerNorm, sc, workers)
+			exactAssignedDist2(data, dataNorm, sc, workers)
+			evals += int64(n)
 		}
 		copy(sc.prev.Data, centers.Data)
 		for c := 0; c < k; c++ {
@@ -494,23 +562,26 @@ func lloydIterate(data *stats.Matrix, k, maxIters, workers int, iters *obs.Count
 				dst[j] = src[j] * inv
 			}
 		}
-		// How far every center moved, for the next pass's bound updates.
-		deltaMax = 0
+		// How far every center, and so every group, moved, for the next
+		// pass's bound updates.
+		clear(cg.delta)
 		for c := 0; c < k; c++ {
 			dc := kernel.Distance(sc.prev.Row(c), centers.Row(c))
 			sc.delta[c] = dc
-			if dc > deltaMax {
-				deltaMax = dc
-			}
+			g := cg.groupOf[c]
+			cg.delta[g] = max(cg.delta[g], dc)
 		}
-		updateCenterNorms()
+		kernel.RowSquaredNorms(centers.Data, k, d, centerNorm)
+		cg.load(centers, centerNorm)
 	}
 
 	// Final exact assignment pass and inertia, the latter reduced from
 	// per-chunk partials in chunk order (worker-count independent). The
 	// full scan also guarantees the returned assignments and distances
 	// are exact regardless of how the bounds steered the iteration.
-	assignFull(data, centers, dataNorm, centerNorm, sc, workers)
+	assignFull(data, dataNorm, sc, cg, lower, workers)
+	evals += full
+	ctr.centerEvals.Add(evals)
 	for i := range sc.sizes {
 		sc.sizes[i] = 0
 	}
@@ -532,16 +603,34 @@ func lloydIterate(data *stats.Matrix, k, maxIters, workers int, iters *obs.Count
 	return &Result{K: k, Assignments: sc.assign, Centers: centers, Sizes: sc.sizes, Inertia: inertia}
 }
 
+// seedSkip is the pruned seeding test's factor: a row whose nearest seed
+// lies more than sqrt(seedSkip) times the row's D distance from the new
+// seed cannot move closer. The triangle inequality needs a factor of 4;
+// the 1e-9 margin covers the round-off of the computed squared distances
+// (all sums of squares, relative error about d·2⁻⁵³) many times over.
+const seedSkip = 4 * (1 + 1e-9)
+
 // seedPlusPlus selects k initial centers with the k-means++ D² weighting,
-// writing them into centers and using dist2 as its D² working array.
-func seedPlusPlus(data *stats.Matrix, k int, rng *rand.Rand, centers *stats.Matrix, dist2 []float64) {
+// writing them into centers, using dist2 as its D² working array and near
+// as each row's nearest chosen seed. It returns the number of distance
+// evaluations.
+//
+// The rng draws, the serial D² total and so the chosen seeds are those of
+// the plain algorithm; the only saving is exact: adding seed c, it first
+// measures c against every earlier seed, and a row whose nearest seed s
+// has |c-s|² > 4·D²(row) is farther from c than from s (|x-c| ≥ |c-s| -
+// |x-s| > |x-s|), so its D² cannot fall and the row is skipped.
+func seedPlusPlus(data *stats.Matrix, k int, rng *rand.Rand, centers *stats.Matrix, dist2 []float64, near []int) int64 {
 	n := data.Rows
 	first := rng.Intn(n)
 	copy(centers.Row(0), data.Row(first))
 
 	for i := 0; i < n; i++ {
 		dist2[i] = kernel.SquaredDistance(data.Row(i), centers.Row(0))
+		near[i] = 0
 	}
+	evals := int64(n)
+	seedD2 := make([]float64, k)
 	for c := 1; c < k; c++ {
 		var total float64
 		for _, v := range dist2[:n] {
@@ -560,13 +649,23 @@ func seedPlusPlus(data *stats.Matrix, k int, rng *rand.Rand, centers *stats.Matr
 		} else {
 			idx = rng.Intn(n)
 		}
-		copy(centers.Row(c), data.Row(idx))
+		seed := centers.Row(c)
+		copy(seed, data.Row(idx))
+		for s := 0; s < c; s++ {
+			seedD2[s] = kernel.SquaredDistance(seed, centers.Row(s))
+		}
+		evals += int64(c)
 		for i := 0; i < n; i++ {
-			if d2 := kernel.SquaredDistance(data.Row(i), centers.Row(c)); d2 < dist2[i] {
-				dist2[i] = d2
+			if seedD2[near[i]] <= seedSkip*dist2[i] {
+				evals++
+				if d2 := kernel.SquaredDistance(data.Row(i), seed); d2 < dist2[i] {
+					dist2[i] = d2
+					near[i] = c
+				}
 			}
 		}
 	}
+	return evals
 }
 
 // bic scores a clustering with the spherical-Gaussian Bayesian Information

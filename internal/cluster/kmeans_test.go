@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -94,32 +95,77 @@ func TestKMeansDeterministicWithSeed(t *testing.T) {
 // TestKMeansWorkerCountInvariance is the tentpole contract: the fitted
 // clustering must be byte-identical whatever Options.Workers is, because
 // restart seeds are derived by hashing and all floating-point reductions
-// run in a fixed chunk order.
+// run in a fixed chunk order. k = 4 fits in one bound group; k = 90 runs
+// the grouped (three-bound) pruned passes.
 func TestKMeansWorkerCountInvariance(t *testing.T) {
-	data, _ := blobs([][]float64{{0, 0}, {7, 1}, {2, 9}, {8, 8}}, 60, 0.8, 21)
-	ref, err := KMeans(data, 4, Options{Seed: 5, Restarts: 4, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got, err := KMeans(data, 4, Options{Seed: 5, Restarts: 4, Workers: workers})
+	four, _ := blobs([][]float64{{0, 0}, {7, 1}, {2, 9}, {8, 8}}, 60, 0.8, 21)
+	for _, tc := range []struct {
+		data *stats.Matrix
+		k    int
+	}{
+		{four, 4},
+		{blobGrid(30, 20, 6, 0.8, 24), 90},
+	} {
+		ref, err := KMeans(tc.data, tc.k, Options{Seed: 5, Restarts: 4, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got.BIC != ref.BIC || got.Inertia != ref.Inertia {
-			t.Fatalf("workers=%d scores differ: BIC %v vs %v, inertia %v vs %v",
-				workers, got.BIC, ref.BIC, got.Inertia, ref.Inertia)
-		}
-		for i := range ref.Assignments {
-			if got.Assignments[i] != ref.Assignments[i] {
-				t.Fatalf("workers=%d assignment %d differs", workers, i)
+		for _, workers := range []int{2, 3, 8} {
+			got, err := KMeans(tc.data, tc.k, Options{Seed: 5, Restarts: 4, Workers: workers})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.BIC != ref.BIC || got.Inertia != ref.Inertia {
+				t.Fatalf("k=%d workers=%d scores differ: BIC %v vs %v, inertia %v vs %v",
+					tc.k, workers, got.BIC, ref.BIC, got.Inertia, ref.Inertia)
+			}
+			for i := range ref.Assignments {
+				if got.Assignments[i] != ref.Assignments[i] {
+					t.Fatalf("k=%d workers=%d assignment %d differs", tc.k, workers, i)
+				}
+			}
+			for i := range ref.Centers.Data {
+				if got.Centers.Data[i] != ref.Centers.Data[i] {
+					t.Fatalf("k=%d workers=%d center element %d differs", tc.k, workers, i)
+				}
 			}
 		}
-		for i := range ref.Centers.Data {
-			if got.Centers.Data[i] != ref.Centers.Data[i] {
-				t.Fatalf("workers=%d center element %d differs", workers, i)
+	}
+}
+
+// TestPruningCountersWorkerInvariant pins the pruning counters: summed
+// per chunk and per restart, they must not depend on the worker count,
+// and on clustered data both halves of the fit must skip most of the
+// unpruned work — a silent fall back to full scans fails here.
+func TestPruningCountersWorkerInvariant(t *testing.T) {
+	data := blobGrid(40, 30, 9, 0.6, 25)
+	const k, restarts = 100, 3
+	var ref map[string]int64
+	for _, workers := range []int{1, 2, 7} {
+		m := obs.New()
+		if _, err := KMeans(data, k, Options{Seed: 2, Restarts: restarts, Workers: workers, Metrics: m}); err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for _, name := range []string{"kmeans.lloyd_iters", "kmeans.center_evals", "kmeans.seed_evals"} {
+			got[name] = m.Counter(name).Value()
+		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		for name, v := range got {
+			if v != ref[name] {
+				t.Fatalf("workers=%d: %s = %d, want %d (workers=1)", workers, name, v, ref[name])
 			}
 		}
+	}
+	rows := int64(data.Rows)
+	if full := (ref["kmeans.lloyd_iters"] + restarts) * rows * k; ref["kmeans.center_evals"]*2 > full {
+		t.Fatalf("kmeans.center_evals = %d, over half the unpruned %d", ref["kmeans.center_evals"], full)
+	}
+	if full := restarts * rows * k; ref["kmeans.seed_evals"]*2 > full {
+		t.Fatalf("kmeans.seed_evals = %d, over half the unpruned %d", ref["kmeans.seed_evals"], full)
 	}
 }
 

@@ -28,70 +28,102 @@ import (
 // per-column sum order is strictly ascending in the coordinate index,
 // identical on the SIMD and scalar paths.
 func DotCols(x, ct, out []float64, k int) {
-	if len(ct) < len(x)*k || len(out) < k {
-		panic(fmt.Sprintf("kernel: dotcols of dim %d over %d columns needs %d values and %d slots, have %d and %d",
-			len(x), k, len(x)*k, k, len(ct), len(out)))
+	DotColsRange(x, ct, k, 0, k, out)
+}
+
+// DotColsRange is DotCols over the column sub-range [lo, hi) of a
+// len(x) x stride row-major matrix ct: it fills out[c] for c in [lo, hi)
+// and leaves the rest of out untouched. Each column's sum is the same
+// serial ascending-j sum DotCols computes, whatever the range, so a
+// caller may scan a wide block piecewise (a group of columns at a time,
+// or a single column) and get the bits a full scan would. Ranges whose
+// width is a multiple of 4 run entirely on the vector path.
+func DotColsRange(x, ct []float64, stride, lo, hi int, out []float64) {
+	d := len(x)
+	if lo < 0 || hi < lo || hi > stride || len(out) < hi || (d > 0 && len(ct) < (d-1)*stride+hi) {
+		panic(fmt.Sprintf("kernel: dotcols of dim %d over columns [%d,%d) of stride %d needs %d values and %d slots, have %d and %d",
+			d, lo, hi, stride, d*stride, hi, len(ct), len(out)))
 	}
-	dotCols(x, ct, out, k)
+	if d == 0 {
+		clear(out[lo:hi])
+		return
+	}
+	dotCols(x, ct[lo:], out[lo:hi], stride, hi-lo)
+}
+
+// DotSerial returns the dot product of two equal-length vectors summed
+// strictly left to right, one unfused product at a time: bit for bit the
+// value DotCols stores for a column holding b. A caller scanning centers
+// through a transposed block uses it to re-evaluate one center from its
+// row-major copy and still get the scan's bits.
+func DotSerial(a, b []float64) float64 {
+	if len(a) != len(b) {
+		panic(fmt.Sprintf("kernel: dot of vectors of length %d and %d", len(a), len(b)))
+	}
+	b = b[:len(a)]
+	var s float64
+	for j, v := range a {
+		s += float64(v * b[j])
+	}
+	return s
+}
+
+// Min2G returns the two smallest g = norms[s] - 2*dots[s] over the slots
+// of a scanned block: m1 the minimum and m2 the next value up (m1 again
+// when the minimum occurs twice; +Inf for missing values). With dots from
+// DotCols and norms the columns' squared norms, m1 is the g of the column
+// nearest to x (g differs from |x-c|² by the constant |x|²) and m2 the g
+// of the nearest other column. Every g is rounded exactly as that
+// expression rounds it on every path; only the comparison order varies,
+// which cannot change either value for non-NaN inputs (a zero may come
+// back with either sign).
+func Min2G(norms, dots []float64) (m1, m2 float64) {
+	if len(dots) < len(norms) {
+		panic(fmt.Sprintf("kernel: min g over %d norms and %d dots", len(norms), len(dots)))
+	}
+	return min2G(norms, dots[:len(norms)])
+}
+
+// min2GGeneric is the portable Min2G.
+func min2GGeneric(norms, dots []float64) (float64, float64) {
+	dots = dots[:len(norms)]
+	m1, m2 := math.Inf(1), math.Inf(1)
+	for s, nrm := range norms {
+		if g := nrm - 2*dots[s]; g < m2 {
+			if g < m1 {
+				m1, m2 = g, m1
+			} else {
+				m2 = g
+			}
+		}
+	}
+	return m1, m2
 }
 
 // dotColsGeneric is the portable implementation and the bit-exact
-// reference for the assembly path.
-func dotColsGeneric(x, ct, out []float64, k int) {
+// reference for the assembly path. The float64 conversions pin each
+// product's rounding, so a compiler that fuses multiply-adds cannot make
+// this path differ from the assembly (which never uses FMA).
+func dotColsGeneric(x, ct, out []float64, stride, k int) {
 	out = out[:k]
 	for c := range out {
 		out[c] = 0
 	}
 	for j, xj := range x {
-		row := ct[j*k : (j+1)*k : (j+1)*k]
+		row := ct[j*stride : j*stride+k : j*stride+k]
 		c := 0
 		// 4 independent accumulator chains across centers; each
 		// center's own sum still grows by exactly one add per j.
 		for ; c+4 <= k; c += 4 {
-			out[c] += xj * row[c]
-			out[c+1] += xj * row[c+1]
-			out[c+2] += xj * row[c+2]
-			out[c+3] += xj * row[c+3]
+			out[c] += float64(xj * row[c])
+			out[c+1] += float64(xj * row[c+1])
+			out[c+2] += float64(xj * row[c+2])
+			out[c+3] += float64(xj * row[c+3])
 		}
 		for ; c < k; c++ {
-			out[c] += xj * row[c]
+			out[c] += float64(xj * row[c])
 		}
 	}
-}
-
-// NearestCenterCols is NearestCenter over a transposed centers block:
-// ct is column-major (len(x) rows of k contiguous values) and dots is a
-// k-sized scratch slice. Ties break to the lowest center index, and the
-// g values use the serial-sum DotCols order (not the 4-lane order of
-// NearestCenter), so the two scans are distinct deterministic functions.
-func NearestCenterCols(x, ct, norms, dots []float64) (int, float64) {
-	k := len(norms)
-	DotCols(x, ct, dots, k)
-	best, bestG := 0, math.Inf(1)
-	for c := 0; c < k; c++ {
-		if g := norms[c] - 2*dots[c]; g < bestG {
-			best, bestG = c, g
-		}
-	}
-	return best, bestG
-}
-
-// Nearest2CentersCols extends NearestCenterCols with the second-smallest
-// g, matching the tie semantics of Nearest2Centers.
-func Nearest2CentersCols(x, ct, norms, dots []float64) (int, float64, float64) {
-	k := len(norms)
-	DotCols(x, ct, dots, k)
-	best := 0
-	bestG, secondG := math.Inf(1), math.Inf(1)
-	for c := 0; c < k; c++ {
-		g := norms[c] - 2*dots[c]
-		if g < bestG {
-			best, secondG, bestG = c, bestG, g
-		} else if g < secondG {
-			secondG = g
-		}
-	}
-	return best, bestG, secondG
 }
 
 // Transpose fills ct (column-major, cols rows of `rows` values) from the

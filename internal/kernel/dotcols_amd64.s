@@ -1,5 +1,5 @@
 // AVX2 column-block dot kernel. See dotcols_amd64.go for the contract:
-// out[c] = sum over j (ascending) of x[j] * ct[j*k + c], for c in
+// out[c] = sum over j (ascending) of x[j] * ct[j*stride + c], for c in
 // [0, k&^3). Each center's sum is accumulated strictly in ascending j
 // order (one VADDPD per j per lane group), so the result is
 // bit-identical to the scalar column loop in dotcols.go — vector lanes
@@ -9,15 +9,15 @@
 
 #include "textflag.h"
 
-// func dotColsAVX2(x *float64, d int, ct *float64, k int, out *float64)
-TEXT ·dotColsAVX2(SB), NOSPLIT, $0-40
+// func dotColsAVX2(x *float64, d int, ct *float64, stride, k int, out *float64)
+TEXT ·dotColsAVX2(SB), NOSPLIT, $0-48
 	MOVQ x+0(FP), SI
 	MOVQ d+8(FP), DX
 	MOVQ ct+16(FP), BX
-	MOVQ k+24(FP), CX
-	MOVQ out+32(FP), DI
+	MOVQ stride+24(FP), CX // row stride of ct, in elements
+	MOVQ k+32(FP), R8
+	MOVQ out+40(FP), DI
 
-	MOVQ CX, R8
 	ANDQ $-4, R8       // R8 = k &^ 3, centers handled here
 	XORQ R9, R9        // c = 0
 	TESTQ DX, DX
@@ -29,7 +29,7 @@ block16:
 	CMPQ R10, $16
 	JLT  block4        // fewer than 16 centers left
 
-	LEAQ (BX)(R9*8), R11   // &ct[c], walks down the columns by k
+	LEAQ (BX)(R9*8), R11   // &ct[c], walks down the columns by stride
 	VXORPD Y0, Y0, Y0      // accumulators: centers c+0..3, 4..7, 8..11, 12..15
 	VXORPD Y1, Y1, Y1
 	VXORPD Y2, Y2, Y2
@@ -116,4 +116,91 @@ TEXT ·xgetbv0(SB), NOSPLIT, $0-8
 	XGETBV
 	MOVL AX, eax+0(FP)
 	MOVL DX, edx+4(FP)
+	RET
+
+DATA posinf<>+0(SB)/8, $0x7ff0000000000000
+GLOBL posinf<>(SB), RODATA|NOPTR, $8
+
+// func min2GAVX2(norms, dots *float64, n int) (m1, m2 float64)
+//
+// The two smallest of g[s] = norms[s] - 2*dots[s], s in [0, n), n a
+// positive multiple of 4: m1 the minimum, m2 the next value up (m1 again
+// if the minimum occurs twice). Each g is rounded exactly as the scalar
+// expression rounds it (2*dots[s] is exact); every lane keeps its own
+// pair (m2 = min(m2, max(m1, g)), m1 = min(m1, g)), and pairs merge as
+// (min(a1, b1), min(a2, b2, max(a1, b1))). Only the comparison order
+// differs from the scalar loop, which cannot change either value for
+// non-NaN inputs.
+TEXT ·min2GAVX2(SB), NOSPLIT, $0-40
+	MOVQ norms+0(FP), SI
+	MOVQ dots+8(FP), DI
+	MOVQ n+16(FP), CX
+
+	// The first four g values seed lane set 0's minima; everything else
+	// starts at +Inf.
+	VMOVUPD (DI), Y4
+	VADDPD Y4, Y4, Y4
+	VMOVUPD (SI), Y0
+	VSUBPD Y4, Y0, Y0
+	VBROADCASTSD posinf<>(SB), Y1
+	VMOVAPD Y1, Y2
+	VMOVAPD Y1, Y3
+	MOVQ $4, BX
+
+min8:
+	LEAQ 8(BX), AX
+	CMPQ AX, CX
+	JGT  min4
+	VMOVUPD (DI)(BX*8), Y4
+	VMOVUPD 32(DI)(BX*8), Y5
+	VADDPD Y4, Y4, Y4
+	VADDPD Y5, Y5, Y5
+	VMOVUPD (SI)(BX*8), Y6
+	VMOVUPD 32(SI)(BX*8), Y7
+	VSUBPD Y4, Y6, Y6
+	VSUBPD Y5, Y7, Y7
+	VMAXPD Y6, Y0, Y4
+	VMAXPD Y7, Y1, Y5
+	VMINPD Y6, Y0, Y0
+	VMINPD Y7, Y1, Y1
+	VMINPD Y4, Y2, Y2
+	VMINPD Y5, Y3, Y3
+	MOVQ AX, BX
+	JMP  min8
+
+min4:
+	CMPQ BX, CX
+	JGE  minmerge
+	VMOVUPD (DI)(BX*8), Y4
+	VADDPD Y4, Y4, Y4
+	VMOVUPD (SI)(BX*8), Y6
+	VSUBPD Y4, Y6, Y6
+	VMAXPD Y6, Y0, Y4
+	VMINPD Y6, Y0, Y0
+	VMINPD Y4, Y2, Y2
+	ADDQ $4, BX
+	JMP  min4
+
+minmerge:
+	// Set 1 into set 0, then the upper 128 bits into the lower, then
+	// lane 1 into lane 0.
+	VMAXPD Y1, Y0, Y4
+	VMINPD Y1, Y0, Y0
+	VMINPD Y3, Y2, Y2
+	VMINPD Y4, Y2, Y2
+	VEXTRACTF128 $1, Y0, X1
+	VEXTRACTF128 $1, Y2, X3
+	VMAXPD X1, X0, X4
+	VMINPD X1, X0, X0
+	VMINPD X3, X2, X2
+	VMINPD X4, X2, X2
+	VPERMILPD $1, X0, X1
+	VPERMILPD $1, X2, X3
+	VMAXSD X1, X0, X4
+	VMINSD X1, X0, X0
+	VMINSD X3, X2, X2
+	VMINSD X4, X2, X2
+	VZEROUPPER
+	MOVSD X0, m1+24(FP)
+	MOVSD X2, m2+32(FP)
 	RET

@@ -1,6 +1,6 @@
 // Package kernel holds the shared dense-float64 micro-kernels behind
 // every analysis stage: dot products, squared distances, row norms and
-// the argmin-over-centers loop at the heart of k-means assignment. It is
+// the column scan at the heart of k-means assignment (dotcols.go). It is
 // a leaf package (no repo-internal imports), so cluster, stats, ga and
 // core can all share exactly one implementation of each primitive.
 //
@@ -138,7 +138,7 @@ func Add(dst, src []float64) {
 
 // RowSquaredNorms fills out[i] with the squared L2 norm of row i of the
 // rows x cols row-major matrix data — the |x|² term of the expansion
-// |x-c|² = |x|² - 2·x·c + |c|² that the assignment kernels cache.
+// |x-c|² = |x|² - 2·x·c + |c|² that the assignment scans cache.
 func RowSquaredNorms(data []float64, rows, cols int, out []float64) {
 	if len(data) < rows*cols || len(out) < rows {
 		panic(fmt.Sprintf("kernel: row norms of %dx%d from %d values into %d slots", rows, cols, len(data), len(out)))
@@ -146,86 +146,4 @@ func RowSquaredNorms(data []float64, rows, cols int, out []float64) {
 	for i := 0; i < rows; i++ {
 		out[i] = SquaredNorm(data[i*cols : (i+1)*cols])
 	}
-}
-
-// NearestCenter finds the center nearest to x among the k rows of the
-// flat k x len(x) row-major centers block, using cached squared center
-// norms: it minimizes g(c) = |c|² - 2·x·c, which differs from |x-c|² by
-// the constant |x|², so the argmin is identical and the |x|² add is
-// deferred to the caller. The first center wins ties. It returns the
-// winning index and its g value; the caller recovers the squared
-// distance as |x|² + g (clamped at zero — cancellation can push an
-// exact zero slightly negative).
-//
-// The dot product is inlined rather than calling Dot: this loop is the
-// single hottest kernel in the repo (k-means assignment is O(n·k·d))
-// and the per-center call overhead is measurable at small d.
-func NearestCenter(x, centers, norms []float64) (int, float64) {
-	d := len(x)
-	if len(centers) < len(norms)*d {
-		panic(fmt.Sprintf("kernel: %d centers of dim %d need %d values, have %d", len(norms), d, len(norms)*d, len(centers)))
-	}
-	best, bestG := 0, math.Inf(1)
-	n4 := d &^ 3
-	off := 0
-	for c := range norms {
-		row := centers[off : off+d : off+d]
-		off += d
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j < n4; j += 4 {
-			s0 += x[j] * row[j]
-			s1 += x[j+1] * row[j+1]
-			s2 += x[j+2] * row[j+2]
-			s3 += x[j+3] * row[j+3]
-		}
-		for ; j < d; j++ {
-			s0 += x[j] * row[j]
-		}
-		dot := (s0 + s1) + (s2 + s3)
-		if g := norms[c] - 2*dot; g < bestG {
-			best, bestG = c, g
-		}
-	}
-	return best, bestG
-}
-
-// Nearest2Centers is NearestCenter extended to also return the
-// second-smallest g value — the second-closest center's deferred
-// distance, which the bounded (triangle-inequality) Lloyd iteration
-// needs as its lower bound. Tie semantics match NearestCenter: the
-// first center wins the argmin, and a later center equal to the best
-// only lowers the second-best.
-func Nearest2Centers(x, centers, norms []float64) (int, float64, float64) {
-	d := len(x)
-	if len(centers) < len(norms)*d {
-		panic(fmt.Sprintf("kernel: %d centers of dim %d need %d values, have %d", len(norms), d, len(norms)*d, len(centers)))
-	}
-	best := 0
-	bestG, secondG := math.Inf(1), math.Inf(1)
-	n4 := d &^ 3
-	off := 0
-	for c := range norms {
-		row := centers[off : off+d : off+d]
-		off += d
-		var s0, s1, s2, s3 float64
-		j := 0
-		for ; j < n4; j += 4 {
-			s0 += x[j] * row[j]
-			s1 += x[j+1] * row[j+1]
-			s2 += x[j+2] * row[j+2]
-			s3 += x[j+3] * row[j+3]
-		}
-		for ; j < d; j++ {
-			s0 += x[j] * row[j]
-		}
-		dot := (s0 + s1) + (s2 + s3)
-		g := norms[c] - 2*dot
-		if g < bestG {
-			best, secondG, bestG = c, bestG, g
-		} else if g < secondG {
-			secondG = g
-		}
-	}
-	return best, bestG, secondG
 }

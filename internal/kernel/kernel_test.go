@@ -128,86 +128,15 @@ func TestRowSquaredNorms(t *testing.T) {
 	}
 }
 
-func TestNearestCenter(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, d := range []int{1, 3, 4, 7, 15, 69} {
-		k := 11
-		centers := randVec(rng, k*d)
-		norms := make([]float64, k)
-		RowSquaredNorms(centers, k, d, norms)
-		for trial := 0; trial < 20; trial++ {
-			x := randVec(rng, d)
-			best, bestG := NearestCenter(x, centers, norms)
-			// Reference argmin over true squared distances.
-			wantBest, wantD2 := 0, math.Inf(1)
-			for c := 0; c < k; c++ {
-				d2 := naiveSquaredDistance(x, centers[c*d:(c+1)*d])
-				if d2 < wantD2 {
-					wantBest, wantD2 = c, d2
-				}
-			}
-			if best != wantBest {
-				t.Fatalf("d=%d: NearestCenter picked %d, want %d", d, best, wantBest)
-			}
-			if got := SquaredNorm(x) + bestG; !relClose(got, wantD2) {
-				t.Fatalf("d=%d: recovered distance² %v, want %v", d, got, wantD2)
-			}
-		}
-	}
-}
-
-func TestNearest2Centers(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, d := range []int{1, 4, 15} {
-		k := 9
-		centers := randVec(rng, k*d)
-		norms := make([]float64, k)
-		RowSquaredNorms(centers, k, d, norms)
-		for trial := 0; trial < 20; trial++ {
-			x := randVec(rng, d)
-			best, bestG, secondG := Nearest2Centers(x, centers, norms)
-			wantBest, wantG := NearestCenter(x, centers, norms)
-			if best != wantBest || bestG != wantG {
-				t.Fatalf("d=%d: Nearest2 best (%d,%v) vs Nearest (%d,%v)", d, best, bestG, wantBest, wantG)
-			}
-			// Reference: the two smallest g values via the same kernel
-			// dot order.
-			g1, g2 := math.Inf(1), math.Inf(1)
-			for c := 0; c < k; c++ {
-				g := norms[c] - 2*Dot(x, centers[c*d:(c+1)*d])
-				if g < g1 {
-					g1, g2 = g, g1
-				} else if g < g2 {
-					g2 = g
-				}
-			}
-			if secondG != g2 {
-				t.Fatalf("d=%d: second g %v, want %v", d, secondG, g2)
-			}
-			if secondG < bestG {
-				t.Fatalf("d=%d: second %v below best %v", d, secondG, bestG)
-			}
-		}
-	}
-}
-
-// Equidistant centers: the first must win, at every worker-independent
-// call.
-func TestNearestCenterTieBreak(t *testing.T) {
-	centers := []float64{1, 0, -1, 0} // both at distance 1 from origin
-	norms := []float64{1, 1}
-	best, _ := NearestCenter([]float64{0, 0}, centers, norms)
-	if best != 0 {
-		t.Fatalf("tie broke to %d, want first center", best)
-	}
-}
-
 func TestKernelPanics(t *testing.T) {
 	for name, f := range map[string]func(){
 		"dot":  func() { Dot([]float64{1}, []float64{1, 2}) },
 		"sqd":  func() { SquaredDistance([]float64{1}, []float64{1, 2}) },
 		"axpy": func() { Axpy(1, []float64{1}, []float64{1, 2}) },
 		"add":  func() { Add([]float64{1}, []float64{1, 2}) },
+		"ser":  func() { DotSerial([]float64{1}, []float64{1, 2}) },
+		"min2": func() { Min2G([]float64{1, 2}, []float64{1}) },
+		"cols": func() { DotColsRange([]float64{1, 2}, make([]float64, 7), 4, 2, 5, make([]float64, 5)) },
 	} {
 		func() {
 			defer func() {
@@ -284,17 +213,4 @@ func BenchmarkDot(b *testing.B) {
 		s += Dot(x, y)
 	}
 	_ = s
-}
-
-func BenchmarkNearestCenter(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	const k, d = 300, 15
-	centers := randVec(rng, k*d)
-	norms := make([]float64, k)
-	RowSquaredNorms(centers, k, d, norms)
-	x := randVec(rng, d)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		NearestCenter(x, centers, norms)
-	}
 }

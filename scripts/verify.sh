@@ -3,7 +3,8 @@
 # smoke tests of the benchmark module, the race detector over every
 # package, short fuzz runs over every binary decoder, the
 # shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
-# incremental append byte-identity gate, the distributed
+# k-means pruning gate (the quick export's distance-evaluation count under
+# a ceiling), the incremental append byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
 # as declarative model files and reloaded runs byte-identically, and the
@@ -127,6 +128,31 @@ for stage in ("pca", "scores", "kmeans", "prominent"):
     got = c.get(f"engine.resumed.{stage}", 0)
     assert got == 1, f"rerun resumed {stage} {got} times, want 1: {sorted(k for k in c if k.startswith('engine.'))}"
 print("rerun gate: no interval generated; pca, scores, kmeans, prominent resumed")
+EOF
+
+echo "== k-means pruning gate (quick export)"
+# The pruned k-means (triangle-inequality seeding, per-group Lloyd
+# bounds) must keep skipping work: the quick export's run report counts
+# the row x center distance evaluations its Lloyd passes made, and a
+# silent fall back to full scans (about 3.5x the ceiling) fails here the
+# way the allocation gate catches allocation regressions. The ceiling
+# sits ~10% above the measured 1,460,763.
+KMEANS_EVAL_CEILING=1600000
+"$tmp/phasechar" -quick -quiet -report "$tmp/kmeans_report.json" export > "$tmp/kmeans.json"
+cmp "$tmp/single.json" "$tmp/kmeans.json"
+python3 - "$tmp/kmeans_report.json" "$tmp/kmeans.json" "$KMEANS_EVAL_CEILING" <<'EOF'
+import json, sys
+
+rep = json.load(open(sys.argv[1]))
+c = rep["counters"]
+k = json.load(open(sys.argv[2]))["parameters"]["num_clusters"]
+rows = next(s["rows"] for s in rep["spans"] if s["stage"] == "kmeans")
+ceiling = int(sys.argv[3])
+evals = c["kmeans.center_evals"]
+full = (c["kmeans.lloyd_iters"] + c["kmeans.restarts"]) * rows * k
+print(f"k-means pruning gate: {evals} center evals <= {ceiling}; "
+      f"a full scan on every pass would make {full} ({evals / full:.1%})")
+assert evals <= ceiling, f"kmeans.center_evals = {evals} > ceiling {ceiling}"
 EOF
 
 echo "== workload-model round-trip gate"
