@@ -12,14 +12,11 @@
 //	micastat -list
 //	micastat BioPerf/grappa
 //	micastat -per-interval SPECint2006/astar
-//	micastat -timeline -cache .cache -incremental SPECint2006/astar
+//	micastat -timeline -cache .cache SPECint2006/astar
 //
 // With -cache the -timeline analysis persists as one artifact: a rerun
 // with the same settings loads it, and a rerun with other settings reuses
-// the cached interval vectors. With -incremental the timeline's interval
-// vectors also fold into the benchmark's cached running summary: reruns
-// fold nothing, and a deeper timeline (larger -max-intervals) folds
-// exactly the intervals it adds.
+// the cached interval vectors.
 package main
 
 import (
@@ -60,7 +57,6 @@ func run() (err error) {
 		cpuProf      = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf      = flag.String("memprofile", "", "write a heap profile to this file")
 		obsFlags     = cliobs.RegisterObsFlags(flag.CommandLine)
-		incremental  = cliobs.RegisterIncremental(flag.CommandLine)
 	)
 	flag.Parse()
 	if *cacheDir != "" && !*timeline {
@@ -68,9 +64,6 @@ func run() (err error) {
 		// timeline artifacts and interval vectors, which only -timeline
 		// consumes.
 		return fmt.Errorf("-cache requires -timeline (the cache stores the timeline analysis and its interval vectors)")
-	}
-	if *incremental && (!*timeline || *cacheDir == "") {
-		return fmt.Errorf("-incremental requires -timeline and -cache (it folds the timeline's interval vectors into the benchmark's cached running summary)")
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -141,20 +134,6 @@ func run() (err error) {
 		fmt.Printf("detected %d phases, %d transitions:\n  %s\n", tl.NumPhases, tl.Transitions, tl.Strip())
 		for p, share := range tl.PhaseShares() {
 			fmt.Printf("  phase %c: %5.1f%% of execution\n", 'A'+p, 100*share)
-		}
-		if *incremental {
-			folded, cum, err := core.FoldTimelineStats(b, cfg, tl)
-			if err != nil {
-				return err
-			}
-			fmt.Printf("cumulative statistics: folded %d new of %d intervals (%d observed across runs):\n",
-				folded, tl.Vectors.Rows, cum.Count)
-			cs := cum.Stats()
-			for _, name := range []string{"mix_load", "mix_store", "mix_branch", "ilp_64"} {
-				if met, ok := mica.MetricByName(name); ok {
-					fmt.Printf("  %-22s %10.4f ± %.4f\n", name, cs.Mean[met.Index], cs.Std[met.Index])
-				}
-			}
 		}
 		fmt.Println()
 	}

@@ -34,14 +34,13 @@
 //	phasechar -cache .cache \
 //	    -workers-addr 10.0.0.2:8421,10.0.0.3:8421 export
 //
-// Growing a dataset reuses the previous run's cached work: a run with
-// -incremental records a baseline manifest, and a later -incremental run
-// over a superset roster characterizes only the new benchmarks — and,
-// within the -max-pca-drift / -max-centroid-shift tolerances, keeps the
-// cached PCA basis and warm-starts k-means from the cached centroids:
+// Growing a dataset reuses the previous run's cached work: a cached run
+// whose roster is a superset of the last one characterizes only the new
+// benchmarks, then refits PCA and k-means exactly, so it exports the
+// same bytes as a cold run over the full roster:
 //
-//	phasechar -cache .cache -incremental -suites BioPerf,BMW export  # baseline
-//	phasechar -cache .cache -incremental export                      # delta only
+//	phasechar -cache .cache -suites BioPerf,BMW export   # the baseline
+//	phasechar -cache .cache export                       # new benchmarks only
 //
 // Or run as a long-lived characterization service: a front door that
 // accepts analysis jobs over HTTP, runs them against a shared cache
@@ -119,7 +118,7 @@ func run() (err error) {
 		paperScale  = flag.Bool("paper-scale", false, "use larger, closer-to-paper parameters (slower)")
 		quick       = flag.Bool("quick", false, "use small, fast parameters (for smoke runs)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
-		cacheDir    = flag.String("cache", "", "artifact cache directory: interval vectors and every stage's output persist across runs, and a rerun loads each valid artifact instead of recomputing it (empty: no cache)")
+		cacheDir    = flag.String("cache", "", "artifact cache directory: interval vectors and every stage's output persist across runs, a rerun loads each valid artifact instead of recomputing it, and a run over a superset of the last run's roster characterizes only the added benchmarks (empty: no cache)")
 		shardSpec   = flag.String("shard", "", "with the 'shard' target: characterize only shard i/n of the benchmarks (e.g. 0/3) and persist it as a shard artifact in -cache")
 		mergeN      = flag.Int("merge", 0, "assemble the characterization from n shard artifacts in -cache (computing any missing shard locally) before the analysis stages")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -140,8 +139,6 @@ func run() (err error) {
 		quotaBurst  = flag.Float64("quota-burst", 0, "with the 'service' target: per-tenant token-bucket burst; 0 disables quotas")
 		quotaRate   = flag.Float64("quota-rate", 1, "with the 'service' target: per-tenant token refill rate (submissions per second)")
 		obsFlags    = cliobs.RegisterObsFlags(flag.CommandLine)
-		incremental = cliobs.RegisterIncremental(flag.CommandLine)
-		incTol      = cliobs.RegisterIncrementalTolerances(flag.CommandLine)
 		corpusFlags = cliobs.RegisterCorpusFlags(flag.CommandLine)
 	)
 	flag.Parse()
@@ -165,16 +162,6 @@ func run() (err error) {
 	}
 	if corpusFlags.Ingest && corpusFlags.Dir == "" {
 		return fmt.Errorf("-corpus-ingest needs -corpus (the phase database completed jobs accumulate into)")
-	}
-	if *incremental {
-		// A submitted job's cache lives server-side, so submit is exempt
-		// from the local -cache requirement.
-		if *cacheDir == "" && flag.Arg(0) != "submit" {
-			return fmt.Errorf("-incremental needs -cache (the baseline manifest and its reusable artifacts live there)")
-		}
-		if *shardSpec != "" || *mergeN > 0 || *workersAddr != "" {
-			return fmt.Errorf("-incremental tracks a single-process dataset; it cannot combine with -shard, -merge or -workers-addr")
-		}
 	}
 
 	stopProf, err := prof.Start(*cpuProf, *memProf)
@@ -238,13 +225,6 @@ func run() (err error) {
 	cfg.CacheDir = *cacheDir
 	if *mergeN > 0 {
 		cfg.Shard = core.ShardSpec{Index: 0, Count: *mergeN}
-	}
-	if *incremental {
-		cfg.Incremental = core.IncrementalSpec{
-			Enabled:          true,
-			MaxPCADrift:      incTol.MaxPCADrift,
-			MaxCentroidShift: incTol.MaxCentroidShift,
-		}
 	}
 	cfg.Metrics = m
 	// Run writes the report when the pipeline completes; the deferred
@@ -363,15 +343,14 @@ func run() (err error) {
 			return fmt.Errorf("the submit target needs -server http://host:port (a running 'service')")
 		}
 		spec := serve.JobSpec{
-			Suites:      *suites,
-			Seed:        *seed,
-			Interval:    *interval,
-			Samples:     *samples,
-			Clusters:    *clusters,
-			Prominent:   *prominent,
-			Key:         *key,
-			Workers:     *workers,
-			Incremental: *incremental,
+			Suites:    *suites,
+			Seed:      *seed,
+			Interval:  *interval,
+			Samples:   *samples,
+			Clusters:  *clusters,
+			Prominent: *prominent,
+			Key:       *key,
+			Workers:   *workers,
 		}
 		switch {
 		case *paperScale:
@@ -383,10 +362,6 @@ func run() (err error) {
 			if spec.Models, err = json.Marshal(modelFile); err != nil {
 				return err
 			}
-		}
-		if *incremental {
-			spec.MaxPCADrift = &incTol.MaxPCADrift
-			spec.MaxCentroidShift = &incTol.MaxCentroidShift
 		}
 		client := &serve.Client{Base: *serverURL, Tenant: *tenant}
 		st, err := client.Submit(spec)

@@ -23,10 +23,7 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/cliobs"
-	"repro/internal/core"
-	"repro/internal/fcache"
 	"repro/internal/isa"
-	"repro/internal/mica"
 	"repro/internal/obs"
 	"repro/internal/par"
 	"repro/internal/trace"
@@ -47,18 +44,13 @@ func run() (err error) {
 		all          = flag.Bool("all", false, "with -o: write every interval of the benchmark, in order, to one trace file")
 		workers      = flag.Int("workers", 0, "parallel workers for -all generation (0: GOMAXPROCS; output is worker-count independent)")
 		outFile      = flag.String("o", "", "write a binary trace to this file instead of text to stdout")
-		cacheDir     = flag.String("cache", "", "with -all: also characterize each interval and store its vector in this cache directory, pre-warming later phasechar/micastat runs")
 		models       = flag.String("models", "", "workload-model file or directory of *.json files: loaded suites replace same-named built-in suites and append otherwise")
 		obsFlags     = cliobs.RegisterObsFlags(flag.CommandLine)
-		incremental  = cliobs.RegisterIncremental(flag.CommandLine)
 	)
 	flag.Parse()
 	if flag.NArg() != 1 {
 		flag.Usage()
 		return fmt.Errorf("expected one benchmark name")
-	}
-	if *incremental && (!*all || *cacheDir == "") {
-		return fmt.Errorf("-incremental requires -all and -cache (it skips re-characterizing intervals whose vectors the cache already holds)")
 	}
 
 	m, finishObs, err := obsFlags.Setup("tracegen")
@@ -90,10 +82,7 @@ func run() (err error) {
 		if *outFile == "" {
 			return fmt.Errorf("-all requires -o (binary traces only)")
 		}
-		return writeAllIntervals(b, total, *n, *workers, *outFile, *cacheDir, *incremental, m)
-	}
-	if *cacheDir != "" {
-		return fmt.Errorf("-cache requires -all (it caches whole characterized intervals)")
+		return writeAllIntervals(b, total, *n, *workers, *outFile, m)
 	}
 
 	if *intervalIdx < 0 || *intervalIdx >= total {
@@ -138,56 +127,20 @@ func run() (err error) {
 // writeAllIntervals generates every interval of the benchmark concurrently
 // — each interval encodes into its own in-memory buffer — and concatenates
 // the buffers in interval order, so the file is byte-identical for any
-// worker count. With a cache directory, each interval is additionally run
-// through the MICA analyzer and its 69-dim vector stored under the same
-// key core.Characterize uses, so later pipeline runs start cache-warm.
-// In incremental mode an interval whose vector the cache already holds
-// skips the analysis pass entirely (the trace bytes are still written,
-// so the file stays complete and byte-identical).
-func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path, cacheDir string, incremental bool, m *obs.Metrics) error {
-	var cache *fcache.Cache
-	if cacheDir != "" {
-		var err error
-		if cache, err = fcache.Open(cacheDir); err != nil {
-			return err
-		}
-		cache.SetMetrics(m)
-	}
+// worker count.
+func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path string, m *obs.Metrics) error {
 	bufs := make([]bytes.Buffer, total)
 	counts := make([]uint64, total)
 	errs := make([]error, total)
-	reused := make([]bool, total)
 	nw := par.Workers(workers)
 	span := m.StartSpan("generate").SetRows(total).SetWorkers(nw)
-	analyzers := make([]*mica.Analyzer, nw)
-	par.ForWorker(nw, total, func(w, i int) {
-		beh := b.BehaviorAt(i, total)
-		seed := b.IntervalSeed(i)
-		var analyzer *mica.Analyzer
-		if cache != nil {
-			if incremental {
-				if _, ok := cache.GetVector(core.VectorKey(beh, seed, perInterval), mica.NumMetrics); ok {
-					reused[i] = true
-				}
-			}
-			if !reused[i] {
-				analyzer = analyzers[w]
-				if analyzer == nil {
-					analyzer = mica.NewAnalyzer()
-					analyzers[w] = analyzer
-				}
-				analyzer.Reset()
-			}
-		}
+	par.For(nw, total, func(i int) {
 		tw := trace.NewWriter(&bufs[i])
 		var werr error
-		err := trace.GenerateInterval(beh, seed, perInterval,
+		err := trace.GenerateInterval(b.BehaviorAt(i, total), b.IntervalSeed(i), perInterval,
 			func(ins *isa.Instruction) {
 				if werr == nil {
 					werr = tw.Write(ins)
-				}
-				if analyzer != nil {
-					analyzer.Record(ins)
 				}
 			})
 		switch {
@@ -198,10 +151,6 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 		default:
 			errs[i] = tw.Flush()
 			counts[i] = tw.Count()
-			if analyzer != nil && errs[i] == nil {
-				// Best-effort: a failed write only costs regeneration later.
-				_ = cache.PutVector(core.VectorKey(beh, seed, perInterval), analyzer.Vector())
-			}
 		}
 	})
 	span.End()
@@ -222,14 +171,5 @@ func writeAllIntervals(b *bench.Benchmark, total, perInterval, workers int, path
 	}
 	fmt.Printf("wrote %d instructions (%d intervals x %d) of %s to %s\n",
 		written, total, perInterval, b.ID(), path)
-	if incremental {
-		hits := 0
-		for _, r := range reused {
-			if r {
-				hits++
-			}
-		}
-		fmt.Printf("incremental: reused %d cached interval vectors, characterized %d\n", hits, total-hits)
-	}
 	return f.Close()
 }

@@ -50,34 +50,6 @@ func (f *ObsFlags) Setup(tool string) (*obs.Metrics, func(errp *error), error) {
 	return Setup(tool, f.Report, f.Summary, f.Addr)
 }
 
-// RegisterIncremental registers the shared -incremental flag: like the
-// observability flags, the spelling and help text live here so the three
-// CLIs cannot drift apart. Each tool keeps its own compatibility rules
-// (what -incremental may combine with), validated after parsing.
-func RegisterIncremental(fs *flag.FlagSet) *bool {
-	return fs.Bool("incremental", false, "incremental mode: reuse the cached baseline's artifacts and process only what it lacks (requires -cache)")
-}
-
-// IncrementalTolerances carries the incremental fast-path gate flags of
-// the pipeline CLIs.
-type IncrementalTolerances struct {
-	// MaxPCADrift is -max-pca-drift: the frozen-basis reconstruction
-	// drift gate (0 always refits PCA exactly).
-	MaxPCADrift float64
-	// MaxCentroidShift is -max-centroid-shift: the warm-start centroid
-	// shift gate (0 always reruns full k-means).
-	MaxCentroidShift float64
-}
-
-// RegisterIncrementalTolerances registers -max-pca-drift and
-// -max-centroid-shift with the shared defaults.
-func RegisterIncrementalTolerances(fs *flag.FlagSet) *IncrementalTolerances {
-	f := &IncrementalTolerances{}
-	fs.Float64Var(&f.MaxPCADrift, "max-pca-drift", 0.05, "incremental mode: reuse the cached PCA eigenbasis while the appended rows' mean reconstruction drift stays at or below this fraction; 0 always refits exactly")
-	fs.Float64Var(&f.MaxCentroidShift, "max-centroid-shift", 0.25, "incremental mode: keep the warm-started k-means refinement while its normalized centroid shift stays at or below this value; 0 always reruns the full search")
-	return f
-}
-
 // CorpusFlags carries the shared phase-corpus flags. As with the
 // observability flags, the spelling, defaults and help text live here
 // so every tool that grows a -corpus flag stays consistent.

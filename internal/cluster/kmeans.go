@@ -65,12 +65,12 @@ type Options struct {
 	// The result is identical for any worker count.
 	Workers int
 	// Metrics, when non-nil, receives clustering counters:
-	// kmeans.restarts, kmeans.refines and kmeans.selectk_fits (fits
-	// started), kmeans.lloyd_iters (Lloyd iterations, not counting the
-	// final exact pass), kmeans.center_evals (row×center distance
-	// evaluations in Lloyd) and kmeans.seed_evals (distance evaluations
-	// in k-means++ seeding). Metrics never influence the fit, so
-	// determinism is unaffected.
+	// kmeans.restarts and kmeans.selectk_fits (fits started),
+	// kmeans.lloyd_iters (Lloyd iterations, not counting the final exact
+	// pass), kmeans.center_evals (row×center distance evaluations in
+	// Lloyd) and kmeans.seed_evals (distance evaluations in k-means++
+	// seeding). Metrics never influence the fit, so determinism is
+	// unaffected.
 	Metrics *obs.Metrics `json:"-"`
 }
 
@@ -219,71 +219,6 @@ func KMeans(data *stats.Matrix, k int, opts Options) (*Result, error) {
 		scratchPool.Put(sc)
 	}
 	return out, nil
-}
-
-// Refine warm-starts a single pruned Lloyd fit from the given initial
-// centroids (k = initial.Rows) instead of k-means++ seeding and random
-// restarts — the incremental engine's "the dataset grew a little, the
-// old centroids are almost right" path. The fit runs the exact same
-// lloydIterate core as KMeans (per-group bounds, deterministic
-// empty-cluster reseeding, pooled scratch), so it is deterministic and
-// worker-count independent.
-//
-// The second return value is the centroid shift: the largest distance
-// any centroid moved from its initial position, normalized by the root
-// mean squared row norm of data (so it is comparable across datasets;
-// un-normalized when that scale is zero). Callers use it as the
-// warm-start trust gate — a shift above their tolerance means the
-// cached centroids no longer describe the grown dataset and a full
-// restart-searched KMeans is warranted.
-func Refine(data *stats.Matrix, initial *stats.Matrix, opts Options) (*Result, float64, error) {
-	if initial == nil || initial.Rows < 1 {
-		return nil, 0, fmt.Errorf("cluster: refine needs at least 1 initial centroid")
-	}
-	k := initial.Rows
-	if initial.Cols != data.Cols {
-		return nil, 0, fmt.Errorf("cluster: refining %d-dim data from %d-dim centroids", data.Cols, initial.Cols)
-	}
-	if data.Rows < k {
-		return nil, 0, fmt.Errorf("cluster: %d rows cannot form %d clusters", data.Rows, k)
-	}
-	o := opts.withDefaults()
-	o.Metrics.Add("kmeans.refines", 1)
-
-	dataNorm := make([]float64, data.Rows)
-	kernel.RowSquaredNorms(data.Data, data.Rows, data.Cols, dataNorm)
-
-	sc := getScratch(data.Rows, k, data.Cols)
-	copy(sc.centers.Data, initial.Data)
-	res := lloydIterate(data, k, o.MaxIters, o.Workers, newFitCounters(o.Metrics), dataNorm, sc)
-	res.BIC = bic(data, res)
-
-	var maxMove float64
-	for c := 0; c < k; c++ {
-		if dc := kernel.Distance(initial.Row(c), res.Centers.Row(c)); dc > maxMove {
-			maxMove = dc
-		}
-	}
-	var scale float64
-	for _, v := range dataNorm {
-		scale += v
-	}
-	scale = math.Sqrt(scale / float64(data.Rows))
-	shift := maxMove
-	if scale > 0 {
-		shift = maxMove / scale
-	}
-
-	out := &Result{
-		K:           res.K,
-		Assignments: append([]int(nil), res.Assignments...),
-		Centers:     res.Centers.Clone(),
-		Sizes:       append([]int(nil), res.Sizes...),
-		Inertia:     res.Inertia,
-		BIC:         res.BIC,
-	}
-	scratchPool.Put(sc)
-	return out, shift, nil
 }
 
 // assignFull is the exact Lloyd assignment pass: every row scans every
@@ -481,9 +416,8 @@ func lloyd(data *stats.Matrix, k, maxIters, workers int, rng *rand.Rand, ctr fit
 }
 
 // lloydIterate is the seeding-independent core of lloyd: it iterates to
-// convergence from whatever centers sc.centers already holds. Sharing it
-// between the cold k-means++ path and the warm-start Refine path keeps
-// the two bit-identical whenever they start from the same centers.
+// convergence from whatever centers sc.centers already holds, which lets
+// the reference tests drive it from chosen centers.
 func lloydIterate(data *stats.Matrix, k, maxIters, workers int, ctr fitCounters, dataNorm []float64, sc *lloydScratch) *Result {
 	n, d := data.Rows, data.Cols
 	centers := sc.centers

@@ -323,8 +323,22 @@ func TestKMeansMatchesReferenceAcrossSeeds(t *testing.T) {
 	}
 }
 
-// TestRefineMatchesReference pins the warm-started fit the same way,
-// from perturbed centers of a finished fit and from raw data rows.
+// lloydFrom runs the package's pruned Lloyd iteration from the given
+// centers — the fit KMeans runs after seeding — so the reference tests
+// can start both implementations from the same chosen centers.
+func lloydFrom(data, initial *stats.Matrix, maxIters, workers int, m *obs.Metrics) *Result {
+	dataNorm := make([]float64, data.Rows)
+	kernel.RowSquaredNorms(data.Data, data.Rows, data.Cols, dataNorm)
+	sc := getScratch(data.Rows, initial.Rows, data.Cols)
+	copy(sc.centers.Data, initial.Data)
+	res := lloydIterate(data, initial.Rows, maxIters, par.Workers(workers), newFitCounters(m), dataNorm, sc)
+	res.BIC = bic(data, res)
+	return res // aliases sc, which is never returned to the pool
+}
+
+// TestRefineMatchesReference pins the pruned Lloyd iteration on its own,
+// started from perturbed centers of a finished fit rather than from
+// k-means++ seeding.
 func TestRefineMatchesReference(t *testing.T) {
 	for _, tc := range referenceCases() {
 		for _, k := range tc.ks {
@@ -340,10 +354,7 @@ func TestRefineMatchesReference(t *testing.T) {
 			want := refLloyd(tc.data, initial.Clone(), 40, wantIters)
 			for _, workers := range []int{1, 2, 7} {
 				m := obs.New()
-				got, _, err := Refine(tc.data, initial, Options{MaxIters: 40, Workers: workers, Metrics: m})
-				if err != nil {
-					t.Fatal(err)
-				}
+				got := lloydFrom(tc.data, initial, 40, workers, m)
 				if err := sameFit(got, want); err != nil {
 					t.Fatalf("%s k=%d workers=%d: %v", tc.name, k, workers, err)
 				}
@@ -393,11 +404,7 @@ func TestTiesBreakToLowestCenter(t *testing.T) {
 		copy(initial.Row(c), []float64{0.5, 0.5, 0.5})
 	}
 	want := refLloyd(data, initial.Clone(), 10, nil)
-	got, _, err := Refine(data, initial, Options{MaxIters: 10, Workers: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sameFit(got, want); err != nil {
+	if err := sameFit(lloydFrom(data, initial, 10, 3, nil), want); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -29,32 +29,6 @@ type ShardSpec struct {
 	Count int
 }
 
-// IncrementalSpec configures the incremental "extend dataset" mode: a
-// run whose benchmark roster is a superset of the latest cached run
-// reuses the cached shard vectors and only characterizes the new rows,
-// and — within the drift/shift tolerances below — reuses the cached PCA
-// eigenbasis (frozen-basis projection) and warm-starts k-means from the
-// cached centroids. With both tolerances at zero the analysis stages
-// always recompute exactly, so the run is byte-identical to a cold full
-// run (only the characterize stage takes the — also exact — delta path).
-type IncrementalSpec struct {
-	// Enabled turns the incremental mode on. Requires Config.CacheDir;
-	// incompatible with sharded (merge) runs.
-	Enabled bool
-	// MaxPCADrift is the frozen-basis gate: the appended rows' mean
-	// relative reconstruction error against the cached eigenbasis
-	// (stats.PCA.ProjectionDrift, in [0,1]). At or below the threshold
-	// the cached basis is reused; above it — or when the threshold is 0,
-	// its zero value — PCA is refit from scratch.
-	MaxPCADrift float64
-	// MaxCentroidShift is the warm-start trust gate: the normalized
-	// centroid movement of a warm-started Lloyd refinement away from the
-	// cached centroids (cluster.Refine's shift). At or below the
-	// threshold the refined clustering is kept; above it — or when the
-	// threshold is 0 — the full restart-searched k-means reruns.
-	MaxCentroidShift float64
-}
-
 // Config holds every knob of the pipeline. DefaultConfig returns the
 // scaled-down equivalents of the paper's settings (see DESIGN.md for the
 // mapping); zero-valued fields of a hand-built Config are filled with the
@@ -106,8 +80,10 @@ type Config struct {
 	// (internal/fcache) rooted at that directory: characterized interval
 	// vectors, dataset shards and every analysis stage's output are
 	// stored under content-addressed keys, and every later run looks its
-	// artifacts up before computing, with bit-identical results. Empty
-	// disables caching: every run computes everything.
+	// artifacts up before computing, with bit-identical results. An
+	// unsharded run whose roster extends the latest cached run's roster
+	// characterizes only the added benchmarks (see incremental.go).
+	// Empty disables caching: every run computes everything.
 	CacheDir string
 	// Shard, when Count > 1, makes Run a merge run: instead of
 	// characterizing everything in-process, each shard's dataset artifact
@@ -117,9 +93,6 @@ type Config struct {
 	// dataset. Requires CacheDir. The merged result is byte-identical to
 	// the single-process run at any worker count and any cache state.
 	Shard ShardSpec
-	// Incremental configures the extend-dataset mode (see
-	// IncrementalSpec). Requires CacheDir when enabled.
-	Incremental IncrementalSpec
 	// MemoBudget is ignored: the in-process dataset memo it bounded is
 	// gone, and a repeat characterization is served from the cache's
 	// dataset artifact instead.
@@ -259,18 +232,6 @@ func (c *Config) Validate() error {
 	}
 	if c.Shard.Count > 1 && c.CacheDir == "" {
 		return fmt.Errorf("core: sharded runs need a cache directory (shard artifacts live there)")
-	}
-	if c.Incremental.Enabled && c.CacheDir == "" {
-		return fmt.Errorf("core: incremental runs need a cache directory (baseline artifacts live there)")
-	}
-	if c.Incremental.Enabled && c.Shard.Count > 1 {
-		return fmt.Errorf("core: incremental mode is incompatible with sharded runs (the baseline manifest describes a single-process dataset)")
-	}
-	if c.Incremental.MaxPCADrift < 0 {
-		return fmt.Errorf("core: negative PCA drift threshold %v", c.Incremental.MaxPCADrift)
-	}
-	if c.Incremental.MaxCentroidShift < 0 {
-		return fmt.Errorf("core: negative centroid shift threshold %v", c.Incremental.MaxCentroidShift)
 	}
 	return nil
 }

@@ -14,7 +14,10 @@ package core
 //     computes;
 //   - sharded characterization: with Config.Shard.Count > 1, the dominant
 //     characterize stage is assembled from per-shard dataset artifacts
-//     computed independently (CharacterizeShard / `phasechar -shard`).
+//     computed independently (CharacterizeShard / `phasechar -shard`);
+//   - extend-dataset reuse: an unsharded characterize miss whose roster
+//     extends the latest cached run's copies that run's rows and
+//     characterizes only the added benchmarks (see incremental.go).
 //
 // The load-bearing invariant: loading an artifact is bit-for-bit
 // equivalent to recomputing it, so any mix of computed, resumed and
@@ -43,14 +46,11 @@ type engine struct {
 	cfg   Config
 	cache *fcache.Cache // nil when no cache directory is configured
 	keys  *artifactKeys // nil iff cache is nil
-	delta *deltaPlan    // non-nil iff an extend-dataset plan applies
 	logf  func(format string, args ...any)
 }
 
 // newEngine opens the cache (when configured) and precomputes the
-// artifact key chain. refs must be the run's sampled dataset. With
-// incremental mode enabled it also resolves the extend-dataset plan
-// against the cached baseline manifest (see incremental.go).
+// artifact key chain. refs must be the run's sampled dataset.
 func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(string, ...any)) (*engine, error) {
 	cache, err := openCache(cfg)
 	if err != nil {
@@ -59,12 +59,6 @@ func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(st
 	e := &engine{reg: reg, cfg: cfg, cache: cache, logf: logf}
 	if cache != nil {
 		e.keys = newArtifactKeys(reg, cfg, len(refs))
-		if cfg.Incremental.Enabled && cfg.Shard.Count <= 1 {
-			e.delta = e.planDelta()
-			if e.delta == nil {
-				cfg.Metrics.Add("engine.delta_inapplicable", 1)
-			}
-		}
 	}
 	return e, nil
 }
@@ -201,28 +195,42 @@ func (e *engine) planShards(refs []IntervalRef) []shardPlan {
 }
 
 // loadOrComputeShard serves one shard from its artifact or, on a miss,
-// characterizes it (see getOrCompute). Returns the artifact, whether it
-// was loaded, and the vector-cache hits of a computed shard.
-func (e *engine) loadOrComputeShard(p shardPlan) (*coveredShard, bool, int, error) {
+// characterizes it (see getOrCompute). A cached unsharded miss extends
+// the baseline when one applies and, once computed, becomes the new
+// baseline (see incremental.go). Returns the artifact, how it was served
+// ("resumed", "computed" or "delta"), and the cache hits of a computed
+// shard.
+func (e *engine) loadOrComputeShard(p shardPlan) (*coveredShard, string, int, error) {
 	var key fcache.Key
 	if e.keys != nil {
 		key = e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
 	}
+	extend := e.cache != nil && p.count == 1
 	art := &coveredShard{work: p.work}
-	hits := 0
+	hits, delta := 0, false
 	loaded, err := getOrCompute(e.cache, key, art, func() (err error) {
-		hits, err = art.compute(e.cfg, e.cache)
+		if extend {
+			hits, delta, err = e.computeUnsharded(p, art)
+		} else {
+			hits, err = art.compute(e.cfg, e.cache)
+		}
 		return err
 	})
 	if err != nil {
-		return nil, false, 0, err
+		return nil, "", 0, err
 	}
 	if loaded {
 		e.cfg.Metrics.Add("engine.shards_resumed", 1)
-	} else {
-		e.cfg.Metrics.Add("engine.shards_computed", 1)
+		return art, "resumed", hits, nil
 	}
-	return art, loaded, hits, nil
+	e.cfg.Metrics.Add("engine.shards_computed", 1)
+	if extend {
+		e.writeManifest(p)
+	}
+	if delta {
+		return art, "delta", hits, nil
+	}
+	return art, "computed", hits, nil
 }
 
 // characterize runs the (possibly sharded) characterization stage and
@@ -231,47 +239,34 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
-	if e.delta != nil {
-		ds, ok, err := e.characterizeDelta(refs)
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return ds, nil
-		}
-		// A baseline artifact could not be served: abandon the whole delta
-		// plan (the analysis fast path depends on the same baseline) and
-		// recompute cold — cache trouble recomputes, it never fails.
-		e.delta = nil
-		e.cfg.Metrics.Add("engine.delta_fallback.characterize", 1)
-	}
 	plans := e.planShards(refs)
 	arts := make([]*coveredShard, len(plans))
-	resumed := true
+	// The stage is resumed when every shard was; only the single shard
+	// of an unsharded run can be served by the delta path.
+	stageMode := "resumed"
 	var instructions uint64
 	unique, cacheHits := 0, 0
 	for i := range plans {
-		art, loaded, hits, err := e.loadOrComputeShard(plans[i])
+		art, mode, hits, err := e.loadOrComputeShard(plans[i])
 		if err != nil {
 			return nil, err
 		}
-		if loaded {
+		if mode == "resumed" {
 			// Every interval the artifact holds was served from the cache.
 			hits = len(art.work)
+		} else {
+			stageMode = mode
 		}
-		resumed = resumed && loaded
 		cacheHits += hits
 		unique += len(art.work)
 		instructions += art.instructions
 		arts[i] = art
 	}
-	if resumed {
+	if stageMode == "resumed" {
 		e.cfg.Metrics.StartSpan("characterize").SetRows(unique).SetResumed(true).End()
 		e.logf("characterize: resumed %d shard artifact(s)", len(arts))
-		e.markStage("characterize", "resumed")
-	} else {
-		e.markStage("characterize", "computed")
 	}
+	e.markStage("characterize", stageMode)
 
 	var mergeSpan *obs.Span // only recorded for merge runs
 	if len(plans) > 1 {
@@ -347,10 +342,11 @@ func CharacterizeShard(reg *bench.Registry, cfg Config, logf func(string, ...any
 	p := eng.planShards(refs)[cfg.Shard.Index]
 	logf("shard %d/%d: %d benchmarks, %d sampled intervals",
 		p.index, p.count, len(p.benches), len(p.refs))
-	art, loaded, _, err := eng.loadOrComputeShard(p)
+	art, mode, _, err := eng.loadOrComputeShard(p)
 	if err != nil {
 		return nil, err
 	}
+	loaded := mode == "resumed"
 	if loaded {
 		logf("shard %d/%d: artifact already present (%d unique intervals), nothing to do", p.index, p.count, art.uniqueCount())
 	} else {

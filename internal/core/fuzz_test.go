@@ -7,6 +7,7 @@ package core
 // round-trip bit-identically.
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -72,10 +73,15 @@ func artifactFuzzSeeds() map[string][][]byte {
 	// count must be rejected against the payload size, not allocated.
 	bomb := append([]byte(nil), shardBytes[:4]...)
 	bomb = append(bomb, 0, 0, 0, 0x40, 1, 2, 3)
+
+	// A valid baseline manifest, a truncated one, and one in the earlier
+	// format (today's layout plus a 24-byte tail).
+	manifestBytes, _ := testManifest().MarshalBinary()
 	return map[string][][]byte{
 		"FuzzShardArtifact":    {shardBytes, shardBytes[:11], bomb, {}},
 		"FuzzSummaryArtifact":  {summaryBytes, summaryBytes[:7], {0, 0, 0, 0x40, 1}, {}},
 		"FuzzTimelineArtifact": {timelineBytes, timelineBytes[:6], {}},
+		"FuzzBaselineManifest": {manifestBytes, manifestBytes[:len(manifestBytes)-5], oldFormatManifest(testManifest())},
 	}
 }
 
@@ -155,6 +161,25 @@ func FuzzTimelineArtifact(f *testing.F) {
 		}
 		if err := new(timelineArtifact).UnmarshalBinary(out); err != nil {
 			t.Fatalf("re-decode: %v", err)
+		}
+	})
+}
+
+func FuzzBaselineManifest(f *testing.F) {
+	for _, s := range artifactFuzzSeeds()["FuzzBaselineManifest"] {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m baselineManifest
+		if err := m.UnmarshalBinary(data); err != nil {
+			return
+		}
+		out, err := m.MarshalBinary()
+		if err != nil {
+			t.Fatalf("re-encode: %v", err)
+		}
+		if !bytes.Equal(out, data) {
+			t.Fatal("accepted manifest does not re-encode to its own bytes")
 		}
 	})
 }

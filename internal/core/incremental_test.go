@@ -2,11 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
+	"repro/internal/fcache"
 	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // subRegistry returns miniRegistry minus the named benchmark — the
@@ -29,18 +32,44 @@ func subRegistry(t *testing.T, reg *bench.Registry, drop string) *bench.Registry
 	return sub
 }
 
-// TestIncrementalAppendByteIdentical is the incremental mode's golden
-// invariant: with both tolerances at zero, extending a cached baseline
-// by one benchmark must export byte-identically to the cold full-roster
-// run — the delta path may only change where the rows come from, never
-// what they are. It also pins that the append actually took the delta
-// characterize path and that a re-run over the refreshed baseline
-// (zero new benchmarks) stays identical.
+// appendConfig is miniConfig with a cluster count the sub-roster (fewer
+// sampled rows) can also fit.
+func appendConfig() Config {
+	cfg := miniConfig()
+	cfg.NumClusters = 4
+	cfg.NumProminent = 4
+	return cfg
+}
+
+// readManifest returns the baseline manifest cfg's cache holds for cfg's
+// sampling parameters, or nil.
+func readManifest(t *testing.T, reg *bench.Registry, cfg Config) *baselineManifest {
+	t.Helper()
+	if err := cfg.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	cache, err := fcache.Open(cfg.CacheDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	man := &baselineManifest{}
+	if !cache.GetBinary(newArtifactKeys(reg, cfg, 0).manifestKey(), man) {
+		return nil
+	}
+	return man
+}
+
+// TestIncrementalAppendByteIdentical is the append path's golden
+// invariant: extending a cached baseline by one benchmark must export
+// byte-identically to the cold full-roster run — the delta path may only
+// change where the rows come from, never what they are. It pins that the
+// append took the delta characterize path and refit PCA and k-means, and
+// that a rerun, which resumes the standard shard artifact, leaves the
+// manifest alone.
 func TestIncrementalAppendByteIdentical(t *testing.T) {
 	reg := miniRegistry(t)
-	cfg := miniConfig()
-	cfg.NumClusters = 4 // the sub-roster has fewer sampled rows
-	cfg.NumProminent = 4
+	sub := subRegistry(t, reg, "f2")
+	cfg := appendConfig()
 
 	cold, err := Run(reg, cfg, nil)
 	if err != nil {
@@ -50,9 +79,11 @@ func TestIncrementalAppendByteIdentical(t *testing.T) {
 
 	inc := cfg
 	inc.CacheDir = t.TempDir()
-	inc.Incremental = IncrementalSpec{Enabled: true} // thresholds 0: exact
-	if _, err := Run(subRegistry(t, reg, "f2"), inc, nil); err != nil {
+	if _, err := Run(sub, inc, nil); err != nil {
 		t.Fatal(err)
+	}
+	if man := readManifest(t, reg, inc); man == nil || len(man.benches) != sub.Len() {
+		t.Fatalf("baseline run left manifest %+v, want the %d-benchmark roster", man, sub.Len())
 	}
 
 	m := obs.New()
@@ -64,50 +95,119 @@ func TestIncrementalAppendByteIdentical(t *testing.T) {
 	if got := exportJSON(t, res); !bytes.Equal(want, got) {
 		t.Fatal("incremental append export differs from the cold run")
 	}
-	if got := m.Counter("engine.delta.characterize").Value(); got != 1 {
-		t.Fatalf("engine.delta.characterize = %d, want 1", got)
-	}
-	if got := m.Counter("engine.delta_fallback.pca").Value(); got != 1 {
-		t.Fatalf("engine.delta_fallback.pca = %d, want 1 (zero drift threshold disables the frozen basis)", got)
+	for name, want := range map[string]int64{
+		"engine.delta.characterize": 1,
+		"engine.stages_delta":       1,
+		"engine.computed.pca":       1,
+		"engine.computed.kmeans":    1,
+	} {
+		if got := m.Counter(name).Value(); got != want {
+			t.Fatalf("%s = %d, want %d", name, got, want)
+		}
 	}
 	if got := m.Counter("engine.delta_reused_rows").Value(); got == 0 {
 		t.Fatal("append reused no baseline rows")
 	}
+	if man := readManifest(t, reg, inc); man == nil || len(man.benches) != reg.Len() {
+		t.Fatalf("append left manifest %+v, want the %d-benchmark roster", man, reg.Len())
+	}
 
-	// The append refreshed the baseline; a rerun extends by nothing and
-	// must reuse every row.
+	// Rerunning the baseline roster resumes its own shard artifact: no
+	// manifest lookup, no delta, and the manifest still describes the
+	// latest computed dataset (the full roster).
 	m2 := obs.New()
 	inc.Metrics = m2
-	res2, err := Run(reg, inc, nil)
+	if _, err := Run(sub, inc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m2.Counter("engine.resumed.characterize").Value(); got != 1 {
+		t.Fatalf("rerun resumed characterize %d times, want 1", got)
+	}
+	if got := m2.Counter("fcache.hits.baseline").Value() + m2.Counter("fcache.misses.baseline").Value(); got != 0 {
+		t.Fatalf("resumed rerun looked the manifest up %d times", got)
+	}
+	if man := readManifest(t, reg, inc); man == nil || len(man.benches) != reg.Len() {
+		t.Fatalf("resumed rerun rewrote the manifest to %+v", man)
+	}
+}
+
+// TestIncrementalShrinkRunsCold pins the extend-dataset precondition: a
+// roster missing a baseline benchmark, or holding one whose behaviour
+// changed under the same ID, is a different dataset, not an extension,
+// so the run proceeds cold (and correct) with the plan reported
+// inapplicable.
+func TestIncrementalShrinkRunsCold(t *testing.T) {
+	reg := miniRegistry(t)
+	var bs []*bench.Benchmark
+	for _, b := range reg.All() {
+		phases := append([]bench.Phase(nil), b.Phases...)
+		if b.Name == "f1" {
+			phases[0].Behavior.Jitter *= 2
+		}
+		bs = append(bs, &bench.Benchmark{Name: b.Name, Suite: b.Suite, PaperIntervals: b.PaperIntervals,
+			Layout: b.Layout, Phases: phases, Inputs: b.Inputs})
+	}
+	changed, err := bench.NewRegistry(bs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := exportJSON(t, res2); !bytes.Equal(want, got) {
-		t.Fatal("rerun over the refreshed baseline export differs")
-	}
-	if got := m2.Counter("engine.delta_reused_rows").Value(); got != int64(len(res2.Dataset.Refs)) {
-		// delta_reused_rows counts unique intervals, which can be fewer
-		// than refs; it must at least cover every unique row.
-		if got != int64(res2.Dataset.UniqueIntervals) {
-			t.Fatalf("rerun reused %d rows, want %d", got, res2.Dataset.UniqueIntervals)
+
+	for _, tc := range []struct {
+		name            string
+		baseline, later *bench.Registry
+	}{
+		{"shrunken roster", reg, subRegistry(t, reg, "f2")},
+		{"changed benchmark", subRegistry(t, reg, "f2"), changed},
+	} {
+		cfg := appendConfig()
+		cfg.CacheDir = t.TempDir()
+		if _, err := Run(tc.baseline, cfg, nil); err != nil {
+			t.Fatal(err)
+		}
+		cold, err := Run(tc.later, appendConfig(), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		m := obs.New()
+		cfg.Metrics = m
+		res, err := Run(tc.later, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := m.Counter("engine.delta_inapplicable").Value(); got != 1 {
+			t.Fatalf("%s: engine.delta_inapplicable = %d, want 1", tc.name, got)
+		}
+		if got := m.Counter("engine.delta.characterize").Value(); got != 0 {
+			t.Fatalf("%s: engine.delta.characterize = %d, want 0", tc.name, got)
+		}
+		if !bytes.Equal(exportJSON(t, cold), exportJSON(t, res)) {
+			t.Fatalf("%s: cold-fallback export differs from the plain run", tc.name)
 		}
 	}
 }
 
-// TestIncrementalFrozenFastPath pins the approximate regime: with
-// generous tolerances the append keeps the cached eigenbasis, projects
-// through it, and warm-starts k-means from the cached centroids — every
-// analysis stage reports the delta path.
-func TestIncrementalFrozenFastPath(t *testing.T) {
+// TestIncrementalMissingBaselineShardRunsCold: a manifest whose shard
+// artifact is gone cannot serve the delta path; the append characterizes
+// cold, counts the fallback, and still exports the plain run's bytes.
+func TestIncrementalMissingBaselineShardRunsCold(t *testing.T) {
 	reg := miniRegistry(t)
-	cfg := miniConfig()
-	cfg.NumClusters = 4
-	cfg.NumProminent = 4
-	cfg.CacheDir = t.TempDir()
-	cfg.Incremental = IncrementalSpec{Enabled: true, MaxPCADrift: 1e6, MaxCentroidShift: 1e6}
-	if _, err := Run(subRegistry(t, reg, "f2"), cfg, nil); err != nil {
+	sub := subRegistry(t, reg, "f2")
+	cfg := appendConfig()
+	cold, err := Run(reg, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
+
+	cfg.CacheDir = t.TempDir()
+	if _, err := Run(sub, cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	eng, err := newEngine(reg, cfg, nil, func(string, ...any) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng.cache.Discard(eng.baselineShardKey(readManifest(t, reg, cfg)))
 
 	m := obs.New()
 	cfg.Metrics = m
@@ -115,142 +215,125 @@ func TestIncrementalFrozenFastPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []string{"engine.delta.characterize", "engine.delta.pca", "engine.delta.scores", "engine.delta.kmeans"} {
-		if got := m.Counter(c).Value(); got != 1 {
-			t.Fatalf("%s = %d, want 1", c, got)
-		}
+	if got := m.Counter("engine.delta_fallback.characterize").Value(); got != 1 {
+		t.Fatalf("engine.delta_fallback.characterize = %d, want 1", got)
 	}
-	if got := m.Counter("kmeans.refines").Value(); got != 1 {
-		t.Fatalf("kmeans.refines = %d, want 1", got)
-	}
-	if got := m.Counter("engine.stages_delta").Value(); got != 4 {
-		t.Fatalf("engine.stages_delta = %d, want 4", got)
-	}
-	if res.NumPCs < 1 || res.Clusters.K != cfg.NumClusters {
-		t.Fatalf("frozen-path result malformed: %d PCs, k=%d", res.NumPCs, res.Clusters.K)
-	}
-	if len(res.Clusters.Assignments) != len(res.Dataset.Refs) {
-		t.Fatal("frozen-path clustering does not cover the extended dataset")
-	}
-}
-
-// TestIncrementalDriftFallback pins the drift detector: a vanishing
-// drift tolerance rejects the frozen basis for any genuinely new rows,
-// the exact stages run instead, and the result is byte-identical to the
-// cold run — the tolerance gates performance, never correctness.
-func TestIncrementalDriftFallback(t *testing.T) {
-	reg := miniRegistry(t)
-	cfg := miniConfig()
-	cfg.NumClusters = 4
-	cfg.NumProminent = 4
-
-	cold, err := Run(reg, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := exportJSON(t, cold)
-
-	inc := cfg
-	inc.CacheDir = t.TempDir()
-	inc.Incremental = IncrementalSpec{Enabled: true, MaxPCADrift: 1e-12, MaxCentroidShift: 1e6}
-	if _, err := Run(subRegistry(t, reg, "f2"), inc, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	m := obs.New()
-	inc.Metrics = m
-	res, err := Run(reg, inc, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Counter("engine.delta_fallback.pca").Value(); got != 1 {
-		t.Fatalf("engine.delta_fallback.pca = %d, want 1", got)
-	}
-	if got := m.Counter("engine.delta.pca").Value(); got != 0 {
-		t.Fatalf("engine.delta.pca = %d, want 0 after drift fallback", got)
-	}
-	if got := exportJSON(t, res); !bytes.Equal(want, got) {
-		t.Fatal("drift-fallback export differs from the cold run")
-	}
-}
-
-// TestIncrementalShrinkRunsCold pins the extend-dataset precondition: a
-// roster missing a baseline benchmark is a different dataset, not an
-// extension, so the run proceeds cold (and correct) with the plan
-// reported inapplicable.
-func TestIncrementalShrinkRunsCold(t *testing.T) {
-	reg := miniRegistry(t)
-	sub := subRegistry(t, reg, "f2")
-	cfg := miniConfig()
-	cfg.NumClusters = 4
-	cfg.NumProminent = 4
-	cfg.CacheDir = t.TempDir()
-	cfg.Incremental = IncrementalSpec{Enabled: true}
-	if _, err := Run(reg, cfg, nil); err != nil {
-		t.Fatal(err)
-	}
-
-	coldCfg := miniConfig()
-	coldCfg.NumClusters = 4
-	coldCfg.NumProminent = 4
-	cold, err := Run(sub, coldCfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	m := obs.New()
-	cfg.Metrics = m
-	res, err := Run(sub, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := m.Counter("engine.delta_inapplicable").Value(); got != 1 {
-		t.Fatalf("engine.delta_inapplicable = %d, want 1", got)
-	}
-	if got := m.Counter("engine.delta.characterize").Value(); got != 0 {
-		t.Fatalf("engine.delta.characterize = %d, want 0 for a shrunken roster", got)
+	if got := m.Counter("engine.computed.characterize").Value(); got != 1 {
+		t.Fatalf("engine.computed.characterize = %d, want 1", got)
 	}
 	if !bytes.Equal(exportJSON(t, cold), exportJSON(t, res)) {
-		t.Fatal("cold-fallback export differs from the plain run")
+		t.Fatal("fallback export differs from the plain run")
 	}
 }
 
-// TestIncrementalRejectsSharding pins the config contract: incremental
-// mode describes a single-process dataset and must refuse to combine
-// with sharding, and it needs a cache to live in.
-func TestIncrementalRejectsSharding(t *testing.T) {
-	cfg := miniConfig()
-	cfg.Incremental = IncrementalSpec{Enabled: true}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("incremental without a cache directory validated")
-	}
+// TestShardedRunSkipsBaseline: the manifest describes one unsharded
+// dataset, so a merge run neither consults nor rewrites it.
+func TestShardedRunSkipsBaseline(t *testing.T) {
+	reg := miniRegistry(t)
+	sub := subRegistry(t, reg, "f2")
+	cfg := appendConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = ShardSpec{Index: 0, Count: 2}
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("incremental with sharding validated")
+	if _, err := Run(sub, cfg, nil); err != nil {
+		t.Fatal(err)
 	}
-	cfg.Shard = ShardSpec{}
-	cfg.Incremental.MaxPCADrift = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative drift tolerance validated")
+
+	m := obs.New()
+	merge := cfg
+	merge.Metrics = m
+	merge.Shard = ShardSpec{Count: 2}
+	if _, err := Run(reg, merge, nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Counter("fcache.hits.baseline").Value() + m.Counter("fcache.misses.baseline").Value(); got != 0 {
+		t.Fatalf("merge run looked the manifest up %d times", got)
+	}
+	if got := m.Counter("engine.delta.characterize").Value(); got != 0 {
+		t.Fatalf("engine.delta.characterize = %d, want 0 for a merge run", got)
+	}
+	if man := readManifest(t, reg, cfg); man == nil || len(man.benches) != sub.Len() {
+		t.Fatalf("merge run rewrote the manifest to %+v", man)
 	}
 }
 
-// TestBaselineManifestCodec round-trips the manifest and rejects the
-// classic decoder traps: truncation and trailing garbage.
-func TestBaselineManifestCodec(t *testing.T) {
-	in := &baselineManifest{
-		rows:       123,
-		shardCount: 3,
+// TestManifestWriteFailureCounted: a manifest that cannot be written
+// costs the next append its delta path, never the run — the failure is
+// counted and the export is unchanged.
+func TestManifestWriteFailureCounted(t *testing.T) {
+	reg := miniRegistry(t)
+	cfg := appendConfig()
+	cfg.CacheDir = t.TempDir()
+	if _, err := Run(subRegistry(t, reg, "f2"), cfg, nil); err != nil {
+		t.Fatal(err)
+	}
+	// Replace the manifest entry with a directory: the lookup misses and
+	// the rename that would rewrite it fails.
+	var manifests []string
+	filepath.Walk(cfg.CacheDir, func(path string, info os.FileInfo, err error) error {
+		if err != nil || info.IsDir() {
+			return err
+		}
+		buf, rerr := os.ReadFile(path)
+		if rerr == nil && len(buf) > 6 && binary.LittleEndian.Uint16(buf[4:]) == fcache.KindBaseline {
+			manifests = append(manifests, path)
+		}
+		return nil
+	})
+	if len(manifests) != 1 {
+		t.Fatalf("found %d manifest entries, want 1", len(manifests))
+	}
+	if err := os.Remove(manifests[0]); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(manifests[0], 0o755); err != nil {
+		t.Fatal(err)
+	}
+
+	cold, err := Run(reg, appendConfig(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := obs.New()
+	cfg.Metrics = m
+	res, err := Run(reg, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Counter("engine.manifest_write_errors").Value(); got != 1 {
+		t.Fatalf("engine.manifest_write_errors = %d, want 1", got)
+	}
+	if !bytes.Equal(exportJSON(t, cold), exportJSON(t, res)) {
+		t.Fatal("export differs after a failed manifest write")
+	}
+}
+
+// oldFormatManifest encodes m in the earlier manifest format, which
+// appended the baseline's basis and clustering identities (a 24-byte
+// tail) to today's layout.
+func oldFormatManifest(m *baselineManifest) []byte {
+	buf, _ := m.MarshalBinary()
+	buf = binary.LittleEndian.AppendUint64(buf, 0x1111)
+	buf = appendU32(buf, m.rows)
+	buf = binary.LittleEndian.AppendUint64(buf, 0x2222)
+	return appendU32(buf, m.rows)
+}
+
+// testManifest is the manifest the codec tests and fuzz seeds start from.
+func testManifest() *baselineManifest {
+	return &baselineManifest{
+		rows: 123,
 		benches: []manifestBench{
 			{id: "SuiteA/s1", hash: 0xdeadbeef, rows: 40},
 			{id: "SuiteB/f1", hash: 0xfeedface, rows: 83},
 		},
-		basisBehavior:   0x1111,
-		basisRows:       120,
-		clusterBehavior: 0x2222,
-		clusterRows:     123,
 	}
+}
+
+// TestBaselineManifestCodec round-trips the manifest and rejects the
+// classic decoder traps — truncation, trailing garbage, a row total
+// that disagrees with the roster — plus a manifest in the earlier
+// format, so a cache written by an older build characterizes cold.
+func TestBaselineManifestCodec(t *testing.T) {
+	in := testManifest()
 	buf, err := in.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -259,11 +342,8 @@ func TestBaselineManifestCodec(t *testing.T) {
 	if err := out.UnmarshalBinary(buf); err != nil {
 		t.Fatal(err)
 	}
-	if out.rows != in.rows || out.shardCount != in.shardCount ||
-		len(out.benches) != len(in.benches) ||
-		out.benches[1] != in.benches[1] ||
-		out.basisBehavior != in.basisBehavior || out.basisRows != in.basisRows ||
-		out.clusterBehavior != in.clusterBehavior || out.clusterRows != in.clusterRows {
+	if out.rows != in.rows || len(out.benches) != len(in.benches) ||
+		out.benches[0] != in.benches[0] || out.benches[1] != in.benches[1] {
 		t.Fatalf("round trip mismatch: %+v != %+v", out, in)
 	}
 	for cut := 1; cut < len(buf); cut += 7 {
@@ -274,69 +354,13 @@ func TestBaselineManifestCodec(t *testing.T) {
 	if err := (&baselineManifest{}).UnmarshalBinary(append(buf, 0)); err == nil {
 		t.Fatal("trailing byte decoded")
 	}
-}
-
-// TestFoldTimelineStats pins the merge-able interval statistics: a fold
-// is idempotent per interval identity, a deeper timeline folds exactly
-// the intervals it adds, and the accumulator matches a direct pass over
-// the union of observed rows.
-func TestFoldTimelineStats(t *testing.T) {
-	b := miniRegistry(t).All()[1] // s2: two phases, 200 paper intervals
-	cfg := miniConfig()
-	cfg.CacheDir = t.TempDir()
-
-	tl, err := AnalyzeTimeline(b, cfg, 4)
-	if err != nil {
-		t.Fatal(err)
+	if err := (&baselineManifest{}).UnmarshalBinary(oldFormatManifest(in)); err == nil {
+		t.Fatal("earlier-format manifest decoded")
 	}
-	folded, run, err := FoldTimelineStats(b, cfg, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if folded == 0 || int64(folded) != run.Count {
-		t.Fatalf("first fold: folded %d, accumulator holds %d", folded, run.Count)
-	}
-
-	again, run2, err := FoldTimelineStats(b, cfg, tl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again != 0 || run2.Count != run.Count {
-		t.Fatalf("refold: folded %d (want 0), count %d (want %d)", again, run2.Count, run.Count)
-	}
-
-	// A deeper timeline re-derives every interval's behavior at the new
-	// total, so its identities are (in general) fresh; the accumulator
-	// must grow by exactly the unseen ones and keep the old mass.
-	deep := cfg
-	deep.MaxIntervalsPerBenchmark = 2 * cfg.MaxIntervalsPerBenchmark
-	dtl, err := AnalyzeTimeline(b, deep, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	more, run3, err := FoldTimelineStats(b, deep, dtl)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if run3.Count != run.Count+int64(more) {
-		t.Fatalf("deep fold: count %d, want %d+%d", run3.Count, run.Count, more)
-	}
-
-	want := stats.NewRunning(tl.Vectors.Cols)
-	for i := 0; i < tl.Vectors.Rows; i++ {
-		if err := want.Observe(tl.Vectors.Row(i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got := run.Stats()
-	ref := want.Stats()
-	for j := range ref.Mean {
-		if got.Mean[j] != ref.Mean[j] {
-			t.Fatalf("col %d mean %g != direct %g", j, got.Mean[j], ref.Mean[j])
-		}
-	}
-
-	if _, _, err := FoldTimelineStats(b, miniConfig(), tl); err == nil {
-		t.Fatal("fold without a cache directory succeeded")
+	skewed := testManifest()
+	skewed.rows++
+	sbuf, _ := skewed.MarshalBinary()
+	if err := (&baselineManifest{}).UnmarshalBinary(sbuf); err == nil {
+		t.Fatal("manifest whose row total disagrees with its roster decoded")
 	}
 }

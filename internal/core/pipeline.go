@@ -98,8 +98,10 @@ type Result struct {
 // kmeans → prominent; see engine.go). logf, if non-nil, receives
 // progress lines. With cfg.Shard.Count > 1 the characterize stage merges
 // per-shard dataset artifacts; with a cache, every stage whose artifact
-// is present and valid is loaded instead of recomputed. Both paths
-// produce results byte-identical to the plain in-process run.
+// is present and valid is loaded instead of recomputed, and an unsharded
+// characterization that misses extends the latest cached roster it is a
+// superset of. Every path produces results byte-identical to the plain
+// in-process run.
 func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any)) (*Result, error) {
 	start := time.Now()
 	if logf == nil {
@@ -137,44 +139,32 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	}
 	logf("characterized %d unique intervals (%d instructions total)", ds.UniqueIntervals, ds.Instructions)
 
-	// The frozen-basis fast path (incremental mode, drift within
-	// tolerance) produces approximate pca/scores/kmeans outside the
-	// standard stage keys; everything else runs the exact stage chain.
 	var pca stats.PCA
-	var scores stats.Matrix
-	var cl cluster.Result
-	frozen, err := eng.tryFrozen(ds)
-	if err != nil {
+	if err := eng.stage("pca", eng.pcaKey(), &pca, ds.Raw.Rows, func() error {
+		span := cfg.Metrics.StartSpan("pca").SetRows(ds.Raw.Rows)
+		defer span.End()
+		p, err := stats.ComputePCA(ds.Raw, true)
+		if err != nil {
+			return fmt.Errorf("core: PCA: %w", err)
+		}
+		pca = *p
+		return nil
+	}); err != nil {
 		return nil, err
 	}
-	if frozen != nil {
-		pca, scores, cl = frozen.pca, frozen.scores, frozen.clusters
-	} else {
-		if err := eng.stage("pca", eng.pcaKey(), &pca, ds.Raw.Rows, func() error {
-			span := cfg.Metrics.StartSpan("pca").SetRows(ds.Raw.Rows)
-			defer span.End()
-			p, err := stats.ComputePCA(ds.Raw, true)
-			if err != nil {
-				return fmt.Errorf("core: PCA: %w", err)
-			}
-			pca = *p
-			return nil
-		}); err != nil {
-			return nil, err
-		}
 
-		if err := eng.stage("scores", eng.scoresKey(), &scores, ds.Raw.Rows, func() error {
-			span := cfg.Metrics.StartSpan("scores").SetRows(ds.Raw.Rows)
-			defer span.End()
-			s, err := pca.RescaledScores(ds.Raw, pca.NumRetained(cfg.MinPCStd))
-			if err != nil {
-				return fmt.Errorf("core: rescaled scores: %w", err)
-			}
-			scores = *s
-			return nil
-		}); err != nil {
-			return nil, err
+	var scores stats.Matrix
+	if err := eng.stage("scores", eng.scoresKey(), &scores, ds.Raw.Rows, func() error {
+		span := cfg.Metrics.StartSpan("scores").SetRows(ds.Raw.Rows)
+		defer span.End()
+		s, err := pca.RescaledScores(ds.Raw, pca.NumRetained(cfg.MinPCStd))
+		if err != nil {
+			return fmt.Errorf("core: rescaled scores: %w", err)
 		}
+		scores = *s
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	numPCs := scores.Cols
 	logf("PCA: retaining %d components (%.1f%% of variance)", numPCs, 100*pca.ExplainedVariance(numPCs))
@@ -182,21 +172,20 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	// cfg.KMeans already carries the inherited pipeline seed and worker
 	// count (Validate resolved them above).
 	k := cfg.NumClusters
-	if frozen == nil {
-		if err := eng.stage("kmeans", eng.clusterKey(), &cl, scores.Rows, func() error {
-			logf("k-means: k=%d over %d intervals in %d dimensions (%d restarts, %d workers)...",
-				k, scores.Rows, scores.Cols, max(1, cfg.KMeans.Restarts), cfg.Workers)
-			span := cfg.Metrics.StartSpan("kmeans").SetRows(scores.Rows).SetWorkers(cfg.Workers)
-			defer span.End()
-			c, err := cluster.KMeans(&scores, k, cfg.KMeans)
-			if err != nil {
-				return fmt.Errorf("core: clustering: %w", err)
-			}
-			cl = *c
-			return nil
-		}); err != nil {
-			return nil, err
+	var cl cluster.Result
+	if err := eng.stage("kmeans", eng.clusterKey(), &cl, scores.Rows, func() error {
+		logf("k-means: k=%d over %d intervals in %d dimensions (%d restarts, %d workers)...",
+			k, scores.Rows, scores.Cols, max(1, cfg.KMeans.Restarts), cfg.Workers)
+		span := cfg.Metrics.StartSpan("kmeans").SetRows(scores.Rows).SetWorkers(cfg.Workers)
+		defer span.End()
+		c, err := cluster.KMeans(&scores, k, cfg.KMeans)
+		if err != nil {
+			return fmt.Errorf("core: clustering: %w", err)
 		}
+		cl = *c
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 	logf("clustering BIC %.1f, avg within-cluster distance %.3f", cl.BIC, cl.AvgWithinClusterDistance(&scores))
 
@@ -210,15 +199,7 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 		Clusters: &cl,
 	}
 	sum := &summaryArtifact{reg: reg}
-	if frozen != nil {
-		// The summary derives from the approximate clustering, so it must
-		// not occupy the standard summary key; it is cheap, so it is
-		// simply recomputed and not persisted at all.
-		span := cfg.Metrics.StartSpan("prominent").SetRows(len(cl.Assignments))
-		sum.phases = res.summarizeProminent(cfg.NumProminent)
-		span.End()
-		eng.markStage("prominent", "computed")
-	} else if err := eng.stage("prominent", eng.summaryKey(), sum, len(cl.Assignments), func() error {
+	if err := eng.stage("prominent", eng.summaryKey(), sum, len(cl.Assignments), func() error {
 		span := cfg.Metrics.StartSpan("prominent").SetRows(len(cl.Assignments))
 		defer span.End()
 		sum.phases = res.summarizeProminent(cfg.NumProminent)
@@ -227,7 +208,6 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 		return nil, err
 	}
 	res.Prominent = sum.phases
-	eng.writeManifest(ds, frozen)
 	res.Elapsed = time.Since(start)
 	logf("top-%d prominent phases cover %.1f%% of the workload (%.1fs)",
 		len(res.Prominent), 100*res.ProminentCoverage(), res.Elapsed.Seconds())

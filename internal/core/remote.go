@@ -79,7 +79,7 @@ func EncodeShard(reg *bench.Registry, cfg Config, logf func(string, ...any)) ([]
 		return nil, nil, err
 	}
 	p := eng.planShards(refs)[index]
-	art, loaded, _, err := eng.loadOrComputeShard(p)
+	art, mode, _, err := eng.loadOrComputeShard(p)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -94,7 +94,7 @@ func EncodeShard(reg *bench.Registry, cfg Config, logf func(string, ...any)) ([]
 		Refs:            len(p.refs),
 		UniqueIntervals: art.uniqueCount(),
 		Instructions:    art.instructions,
-		Resumed:         loaded,
+		Resumed:         mode == "resumed",
 	}, nil
 }
 

@@ -14,8 +14,7 @@
 // manifest; at every instant the manifest on disk names a complete,
 // consistent corpus. Re-ingesting a run is a no-op: the manifest
 // carries a sorted ledger of dataset hashes (core.DatasetHash — the
-// same fingerprint the artifact cache keys on), like the seen-hash
-// ledger in stats.Running.
+// same fingerprint the artifact cache keys on).
 //
 // Queries are served by an in-memory index rebuilt from the segments
 // whenever the manifest changes; see index.go. One process must own

@@ -87,7 +87,6 @@ func TestKindNames(t *testing.T) {
 		KindSummary:  "summary",
 		KindTimeline: "timeline",
 		KindBaseline: "baseline",
-		KindRunning:  "running",
 	}
 	if len(want) != int(maxKind) {
 		t.Fatalf("test covers %d kinds, maxKind = %d — update both", len(want), maxKind)
@@ -96,6 +95,9 @@ func TestKindNames(t *testing.T) {
 		if got := KindName(kind); got != name {
 			t.Fatalf("KindName(%d) = %q, want %q", kind, got, name)
 		}
+	}
+	if got := KindName(10); got != "kind10" {
+		t.Fatalf("retired kind 10 is named %q", got)
 	}
 	if got := KindName(99); got != "kind99" {
 		t.Fatalf("KindName(99) = %q", got)

@@ -69,17 +69,16 @@ const (
 	KindSummary uint16 = 7
 	// KindTimeline is a per-benchmark phase-timeline analysis.
 	KindTimeline uint16 = 8
-	// KindBaseline is the incremental engine's baseline manifest: the
-	// benchmark roster and analysis lineage of the latest cached run
-	// under a given set of sampling parameters.
+	// KindBaseline is the engine's baseline manifest: the benchmark
+	// roster of the latest unsharded dataset computed under a given set
+	// of sampling parameters, which a superset roster extends.
 	KindBaseline uint16 = 9
-	// KindRunning is a merge-able running-statistics accumulator (a
-	// stats.Running plus its fold ledger) for cumulative timeline
-	// summaries.
-	KindRunning uint16 = 10
+	// Kind 10 is retired (it held cumulative timeline statistics) and
+	// stays reserved: never reuse it, or entries an older build wrote
+	// under it could be read as the new kind.
 
 	// maxKind bounds the per-kind counter table; bump alongside new kinds.
-	maxKind = KindRunning
+	maxKind = KindBaseline
 )
 
 // KindName returns the short lower-case name of an artifact kind, used to
@@ -104,8 +103,6 @@ func KindName(kind uint16) string {
 		return "timeline"
 	case KindBaseline:
 		return "baseline"
-	case KindRunning:
-		return "running"
 	default:
 		return fmt.Sprintf("kind%d", kind)
 	}

@@ -74,3 +74,43 @@ func (m *Metrics) Serve(addr string) (string, func(context.Context) error, error
 	}
 	return ln.Addr().String(), shutdown, nil
 }
+
+// drainTimeout bounds how long ListenAndDrain waits for in-flight
+// requests once its context is cancelled: long enough for a response
+// mid-stream (a shard frame, a result download) to finish.
+const drainTimeout = 30 * time.Second
+
+// ListenAndDrain binds addr (host:port, port 0 for ephemeral), reports
+// the bound address through ready (which may be nil), and serves h until
+// ctx is cancelled or the listener fails — the listen-and-drain loop of
+// the shard server and the characterization service. On cancellation
+// the listener closes at once, requests already being served drain to
+// completion (bounded by drainTimeout), and a clean drain returns nil; a
+// listener failure returns its error.
+func ListenAndDrain(ctx context.Context, addr string, h http.Handler, ready func(net.Addr)) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
+	}
+	if ready != nil {
+		ready(ln.Addr())
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 10 * time.Second}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	select {
+	case <-ctx.Done():
+		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+		defer cancel()
+		err := srv.Shutdown(dctx)
+		if serr := <-done; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
+			err = serr
+		}
+		return err
+	case err := <-done:
+		if errors.Is(err, http.ErrServerClosed) {
+			return nil
+		}
+		return err
+	}
+}

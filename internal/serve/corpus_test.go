@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/corpus"
+	"repro/internal/obs"
 )
 
 // seedCorpus fills dir with a small two-suite corpus and returns a
@@ -195,6 +196,63 @@ func TestIngestOnJobCompletion(t *testing.T) {
 	awaitState(t, c, st2.ID, StateDone)
 	if got := corpusStats(); got != after {
 		t.Fatalf("corpus grew on an equivalent job: %+v -> %+v", after, got)
+	}
+}
+
+// TestIngestAppendJobs: with -corpus-ingest, a job that extends the
+// service's cached baseline is ingested like any other. A cold six-suite
+// job and a full-roster append each add their dataset, and resubmitting
+// the append adds nothing. The jobs still set the ignored Incremental
+// field, as older clients do.
+func TestIngestAppendJobs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs the real pipeline")
+	}
+	m := obs.New()
+	_, c := testServer(t, Config{CorpusDir: t.TempDir(), IngestJobs: true, Workers: 1, Metrics: m})
+	ingests := func() int {
+		t.Helper()
+		body, err := c.CorpusQuery(corpus.QueryRequest{Op: "stats"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var resp struct {
+			Stats corpus.Stats `json:"stats"`
+		}
+		if err := json.Unmarshal(body, &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp.Stats.Ingests
+	}
+	run := func(spec JobSpec) {
+		t.Helper()
+		st, err := c.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Result(st.ID, true); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	six := JobSpec{Preset: "quick", Suites: "BioPerf,BMW,MediaBenchII,SPECint2000,SPECfp2000,SPECint2006",
+		Interval: 2000, Samples: 8, Clusters: 20, Prominent: 10, Incremental: true}
+	full := six
+	full.Suites = ""
+	run(six)
+	if got := ingests(); got != 1 {
+		t.Fatalf("%d ingests after the six-suite job, want 1", got)
+	}
+	run(full)
+	if got := ingests(); got != 2 {
+		t.Fatalf("%d ingests after the append job, want 2", got)
+	}
+	if got := m.Counter("engine.delta.characterize").Value(); got != 1 {
+		t.Fatalf("engine.delta.characterize = %d, want 1 (the append job)", got)
+	}
+	run(full)
+	if got := ingests(); got != 2 {
+		t.Fatalf("%d ingests after resubmitting the append, want 2", got)
 	}
 }
 

@@ -34,13 +34,13 @@ type JobSpec struct {
 	// Workers is the compute parallelism for this job's stages (0:
 	// GOMAXPROCS). Results are worker-count independent.
 	Workers int `json:"workers,omitempty"`
-	// Incremental enables -incremental: reuse the cached baseline and
-	// process only what it lacks.
+	// Incremental is ignored: a job whose roster extends the service
+	// cache's latest baseline characterizes only the added benchmarks
+	// either way.
+	//
+	// Deprecated: kept only so the benchmark module (perfbench), which
+	// sets it, builds unchanged.
 	Incremental bool `json:"incremental,omitempty"`
-	// MaxPCADrift / MaxCentroidShift are the incremental fast-path
-	// gates; nil means the CLI defaults (0.05 and 0.25).
-	MaxPCADrift      *float64 `json:"max_pca_drift,omitempty"`
-	MaxCentroidShift *float64 `json:"max_centroid_shift,omitempty"`
 	// Models is an optional inline workload-model file (the -models
 	// payload): its suites replace same-named built-in suites and append
 	// otherwise, before Suites filters the roster. Capped at
@@ -91,16 +91,6 @@ func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
 		cfg.Seed = 1 // the CLI flag default
 	}
 	cfg.Workers = sp.Workers
-	if sp.Incremental {
-		drift, shift := 0.05, 0.25 // the CLI flag defaults
-		if sp.MaxPCADrift != nil {
-			drift = *sp.MaxPCADrift
-		}
-		if sp.MaxCentroidShift != nil {
-			shift = *sp.MaxCentroidShift
-		}
-		cfg.Incremental = core.IncrementalSpec{Enabled: true, MaxPCADrift: drift, MaxCentroidShift: shift}
-	}
 
 	reg, err := bench.StandardRegistry()
 	if err != nil {

@@ -142,22 +142,20 @@ func keysOf(m map[string]obs.HistogramStats) []string {
 	return out
 }
 
-// TestServiceMatchesIncrementalAppend drives the PR-7 incremental path
-// through the front door: a baseline job over a sub-roster, then an
-// incremental append over a larger one, each byte-identical to its
-// one-shot equivalent.
+// TestServiceMatchesIncrementalAppend drives the append path through the
+// front door: a baseline job over a sub-roster, then a job over a larger
+// one, which extends the baseline and is byte-identical to its one-shot
+// equivalent.
 func TestServiceMatchesIncrementalAppend(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the real pipeline")
 	}
-	base := JobSpec{Preset: "quick", Suites: "BioPerf", Clusters: 8, Prominent: 5, Incremental: true}
-	grown := JobSpec{Preset: "quick", Suites: "BioPerf,BMW", Clusters: 8, Prominent: 5, Incremental: true}
-	// The reference is the PLAIN one-shot export of the grown roster:
-	// the incremental engine's invariant is that the delta path changes
-	// where the work happens, never the bytes.
-	plain := grown
-	plain.Incremental = false
-	wantGrown := oneShotExport(t, plain)
+	base := JobSpec{Preset: "quick", Suites: "BioPerf", Clusters: 8, Prominent: 5}
+	grown := JobSpec{Preset: "quick", Suites: "BioPerf,BMW", Clusters: 8, Prominent: 5}
+	// The reference is the cache-less one-shot export of the grown
+	// roster: the delta path changes where the work happens, never the
+	// bytes.
+	wantGrown := oneShotExport(t, grown)
 
 	m := obs.New()
 	_, c := testServer(t, Config{Workers: 1, HotBytes: 64 << 20, Metrics: m})
@@ -188,7 +186,7 @@ func TestServiceMatchesIncrementalAppend(t *testing.T) {
 	if err := json.Unmarshal(raw, &rep); err != nil {
 		t.Fatal(err)
 	}
-	if rep.Counters["engine.delta.characterize"] == 0 {
-		t.Fatal("append job did not take the delta characterize path")
+	if got := rep.Counters["engine.delta.characterize"]; got != 1 {
+		t.Fatalf("engine.delta.characterize = %d, want 1 (the append job)", got)
 	}
 }

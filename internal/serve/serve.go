@@ -29,7 +29,6 @@ package serve
 import (
 	"bytes"
 	"context"
-	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -105,11 +104,6 @@ type Server struct {
 	jobsFailed   *obs.Counter
 	jobsCancel   *obs.Counter
 }
-
-// drainTimeout bounds the HTTP drain after Serve's context is
-// cancelled. Result downloads and event streams are fast; jobs running
-// in workers are not part of the HTTP drain.
-const drainTimeout = 30 * time.Second
 
 // New builds the service and starts its worker pool. Callers must Close
 // it (Serve does so on the way out).
@@ -310,37 +304,16 @@ func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
 
 // Serve binds addr, reports the bound address through ready (may be
 // nil), and serves the front door until ctx is cancelled or the
-// listener fails. Cancellation shuts down gracefully — in-flight
-// requests drain (bounded by drainTimeout), the worker pool finishes
+// listener fails (obs.ListenAndDrain). Cancellation shuts down
+// gracefully — in-flight requests drain, then the worker pool finishes
 // the jobs it is running — and returns nil; a listener failure returns
-// its error so the caller can exit nonzero.
+// its error so the caller can exit nonzero. Either way the worker pool
+// is closed before Serve returns.
 func (s *Server) Serve(ctx context.Context, addr string, ready func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	err := obs.ListenAndDrain(ctx, addr, s.Handler(), ready)
+	if ctx.Err() != nil {
+		s.logf("serve: requests drained, finishing running jobs")
 	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
-	srv := &http.Server{Handler: s.Handler(), ReadHeaderTimeout: 10 * time.Second}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		s.logf("serve: shutting down, draining requests and running jobs")
-		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		err := srv.Shutdown(dctx)
-		if serr := <-done; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-			err = serr
-		}
-		s.Close()
-		return err
-	case err := <-done:
-		s.Close()
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	s.Close()
+	return err
 }

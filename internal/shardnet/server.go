@@ -10,23 +10,15 @@ package shardnet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
-	"time"
 
 	"repro/internal/bench"
 	"repro/internal/core"
 	"repro/internal/obs"
 )
-
-// drainTimeout bounds how long Serve waits for in-flight /shard requests
-// after its context is cancelled. A shard computation is minutes at the
-// absolute worst; a worker asked to stop should finish the frame it is
-// streaming, not abandon a coordinator mid-response.
-const drainTimeout = 30 * time.Second
 
 // maxRequestBytes bounds /shard request bodies; frames are fixed-size,
 // so anything larger is garbage.
@@ -138,40 +130,16 @@ func (s *Server) refuse(w http.ResponseWriter, code int, err error) {
 
 // Serve binds addr (host:port, port 0 for ephemeral), reports the bound
 // address through ready (which may be nil), and serves until ctx is
-// cancelled or the listener fails. On cancellation the server shuts
-// down gracefully: the listener closes immediately, but requests
-// already being served — a shard computation mid-stream — drain to
-// completion (bounded by drainTimeout) before Serve returns. A clean
-// context-driven shutdown returns nil; a listener failure returns its
-// error.
+// cancelled or the listener fails (obs.ListenAndDrain). On cancellation
+// the listener closes immediately, but requests already being served — a
+// shard computation mid-stream — drain to completion before Serve
+// returns: a worker asked to stop finishes the frame it is streaming
+// rather than abandon a coordinator mid-response. A clean context-driven
+// shutdown returns nil; a listener failure returns its error.
 func (s *Server) Serve(ctx context.Context, addr string, ready func(net.Addr)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
+	err := obs.ListenAndDrain(ctx, addr, s.Handler(), ready)
+	if ctx.Err() != nil {
+		s.logf("shardnet: shut down after draining in-flight requests")
 	}
-	if ready != nil {
-		ready(ln.Addr())
-	}
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	select {
-	case <-ctx.Done():
-		s.logf("shardnet: shutting down, draining in-flight requests")
-		dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
-		defer cancel()
-		err := srv.Shutdown(dctx)
-		if serr := <-done; serr != nil && !errors.Is(serr, http.ErrServerClosed) && err == nil {
-			err = serr
-		}
-		return err
-	case err := <-done:
-		if errors.Is(err, http.ErrServerClosed) {
-			return nil
-		}
-		return err
-	}
+	return err
 }

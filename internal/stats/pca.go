@@ -109,61 +109,6 @@ func (p *PCA) projectInto(data *Matrix, k int, out *Matrix, centered []float64) 
 	}
 }
 
-// ProjectionDrift measures how well a set of rows fits this (frozen)
-// eigenbasis: the mean relative squared reconstruction error of the
-// selected rows when represented by their first k principal-component
-// scores. Each row is normalized with the stored InputStats (so the
-// metric is comparable to the basis's own training data), and its
-// residual is the squared norm left over after removing the first k
-// components' projections:
-//
-//	drift = mean_i( max(0, |z_i|² - Σ_c score_ic²) / |z_i|² )
-//
-// A row that lies inside the span of the retained components scores ~0;
-// a row pointing somewhere the basis never saw scores toward 1. rows
-// lists the row indices of data to evaluate; an empty list returns 0
-// (nothing appended, nothing can have drifted). This is the incremental
-// pipeline's frozen-basis gate: appended rows whose drift exceeds the
-// configured threshold force a full PCA refit.
-func (p *PCA) ProjectionDrift(data *Matrix, rows []int, k int) (float64, error) {
-	if err := p.checkProject(data, k); err != nil {
-		return 0, err
-	}
-	if len(rows) == 0 {
-		return 0, nil
-	}
-	centered := make([]float64, data.Cols)
-	var total float64
-	for _, i := range rows {
-		if i < 0 || i >= data.Rows {
-			return 0, fmt.Errorf("stats: drift row %d out of range [0,%d)", i, data.Rows)
-		}
-		row := data.Row(i)
-		for j, v := range row {
-			d := v - p.InputStats.Mean[j]
-			if p.InputStats.Std[j] > 0 {
-				d /= p.InputStats.Std[j]
-			}
-			centered[j] = d
-		}
-		norm2 := kernel.SquaredNorm(centered)
-		if norm2 == 0 {
-			continue // a row at the training mean fits any basis exactly
-		}
-		var proj2 float64
-		for c := 0; c < k; c++ {
-			s := kernel.Dot(p.Components.Row(c), centered)
-			proj2 += s * s
-		}
-		resid := norm2 - proj2
-		if resid < 0 {
-			resid = 0 // rounding: the projection cannot exceed the norm
-		}
-		total += resid / norm2
-	}
-	return total / float64(len(rows)), nil
-}
-
 // RescaledScores projects data onto the first k components and then
 // normalizes each score column to unit variance — the paper's "rescaled
 // PCA space", which gives every retained underlying program characteristic

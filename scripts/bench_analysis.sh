@@ -15,10 +15,9 @@
 # measurement kernel itself: BenchmarkCharacterize (cold generate+measure,
 # ns/instruction and instructions/s) and BenchmarkCharacterizeCached (the
 # same run served from the cache's whole-dataset artifact), and the
-# incremental engine: BenchmarkCharacterizeAppend prices a one-benchmark
-# append onto a cached baseline (delta characterize + frozen-basis PCA +
-# warm-started k-means) against the cold full-roster control as an
-# interleaved pair. All of them produce byte-identical results at any
+# append path: BenchmarkCharacterizeAppend prices a one-benchmark append
+# onto a cached baseline (delta characterize + exact PCA and k-means
+# refit) against the cold full-roster control as an interleaved pair. All of them produce byte-identical results at any
 # worker count and cache state, so the comparison is pure wall-clock.
 set -eu
 
@@ -63,7 +62,7 @@ END {
     printf "  \"goarch\": \"%s\",\n", goarch
     printf "  \"cpu\": \"%s\",\n", cpu
     printf "  \"benchtime\": \"%s\",\n", benchtime
-    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the whole-dataset cache artifact (one shard-kind entry, ~290 allocs/op). Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan kernel + pooled scratch + bounded Lloyd passes), Fig1GASweep paired-median 4.7x (range 4.1-6.7x; then including an in-process dataset memo, since removed, that served repeated iterations without the trace substrate; ~22%% Jacobi now flat+workspaced, GA fitness on pooled PCA workspaces), CharacterizeCached ~55x ns/op with that memo (2.06 MB -> 19 kB, 16334 -> 2 allocs/op; the dataset artifact that replaced it reads ~1.2 ms and ~290 allocs/op). Fig1 decomposition without the memo: ~65%% trace substrate, ~22%% JacobiEigen. BenchmarkKMeansParallel/clustered/workers=N runs the shape the pipeline clusters (11,550 x 9 Gaussian blobs, k = 300, 3 restarts, 60 iterations) and reports center-evals/op, the row x center distance evaluations left by the pruned k-means (triangle-inequality seeding, one Lloyd lower bound per 32-center group); the workers=N rows cluster uniform noise, which has no structure to prune. BenchmarkCharacterizeAppend/{cold,incremental} is an interleaved pair: incremental restores an N-1 baseline off the clock, then times a true one-benchmark append; the reported delta-stages (want 4) and reused-rows prove the fast path ran instead of silently falling back cold. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
+    printf "  \"notes\": \"BenchmarkCharacterize is the cold generate+measure kernel; BenchmarkCharacterizeCached is the same run served warm from the whole-dataset cache artifact (one shard-kind entry, ~290 allocs/op). Against the pre-kernel tree (commit ff7388c), interleaved paired binaries on this shared vCPU measured: KMeansParallel/workers=1 paired-median 3.3x (range 3.1-3.4x; AVX2 column-scan kernel + pooled scratch + bounded Lloyd passes), Fig1GASweep paired-median 4.7x (range 4.1-6.7x; then including an in-process dataset memo, since removed, that served repeated iterations without the trace substrate; ~22%% Jacobi now flat+workspaced, GA fitness on pooled PCA workspaces), CharacterizeCached ~55x ns/op with that memo (2.06 MB -> 19 kB, 16334 -> 2 allocs/op; the dataset artifact that replaced it reads ~1.2 ms and ~290 allocs/op). Fig1 decomposition without the memo: ~65%% trace substrate, ~22%% JacobiEigen. BenchmarkKMeansParallel/clustered/workers=N runs the shape the pipeline clusters (11,550 x 9 Gaussian blobs, k = 300, 3 restarts, 60 iterations) and reports center-evals/op, the row x center distance evaluations left by the pruned k-means (triangle-inequality seeding, one Lloyd lower bound per 32-center group); the workers=N rows cluster uniform noise, which has no structure to prune. BenchmarkCharacterizeAppend/{cold,incremental} is an interleaved pair: incremental copies an N-1 baseline cache into a fresh directory off the clock, then times a true one-benchmark append (delta characterize + exact PCA and k-means refit); it asserts one delta stage and vector-misses equal to mcf's 8 unique sampled intervals, and reports reused-rows, so a silent fallback to the cold path cannot pass as a speedup. All paths stay byte-identical at every worker count; the asm and generic column kernels are bit-identical by construction (serial per-center sums, lanes across centers).\",\n"
     printf "  \"benchmarks\": [\n"
     for (i = 1; i <= count; i++)
         printf "%s%s\n", rows[i], (i < count ? "," : "")

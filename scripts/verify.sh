@@ -73,6 +73,7 @@ FuzzDecodeResult ./internal/cluster/
 FuzzShardArtifact ./internal/core/
 FuzzSummaryArtifact ./internal/core/
 FuzzTimelineArtifact ./internal/core/
+FuzzBaselineManifest ./internal/core/
 FuzzShardRequest ./internal/shardnet/
 FuzzShardResponse ./internal/shardnet/
 FuzzDecodeModels ./internal/bench/
@@ -172,15 +173,14 @@ if ! grep -q "BigData" "$tmp/crossera.out"; then
 fi
 
 echo "== incremental append gate (quick pipeline)"
-# The incremental engine's golden invariant, end to end through the CLI:
-# a baseline over six suites, then a full-roster append with the
-# approximation thresholds at zero, must export byte-identically to the
-# plain single-process run — and the run report must prove the delta
+# The append path's golden invariant, end to end through the CLI: a
+# cached run over six suites, then a plain full-roster run over the same
+# cache — which extends that baseline — must export byte-identically to
+# the plain single-process run, and the run report must prove the delta
 # characterize path actually ran (rather than silently recomputing cold).
-"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" -incremental \
+"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" \
   -suites BioPerf,BMW,MediaBenchII,SPECint2000,SPECfp2000,SPECint2006 export > /dev/null
-"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" -incremental \
-  -max-pca-drift 0 -max-centroid-shift 0 \
+"$tmp/phasechar" -quick -quiet -cache "$tmp/icache" \
   -report "$tmp/inc_report.json" export > "$tmp/incremental.json"
 cmp "$tmp/single.json" "$tmp/incremental.json"
 if ! grep -Fq '"engine.delta.characterize": 1' "$tmp/inc_report.json"; then
@@ -227,9 +227,10 @@ cmp "$tmp/single.json" "$tmp/distributed.json"
 echo "== characterization service loopback gate"
 # The service's contract, end to end through the CLI: a job submitted
 # over HTTP must export byte-identically to the equivalent one-shot run
-# — cold, through an incremental append, and again hot-warm out of the
-# in-memory tier — while the front door sheds load with 429s at queue
-# capacity and reports per-endpoint latency percentiles in /metrics.
+# — cold, through an append that extends the cold job's baseline, and
+# again hot-warm out of the in-memory tier — while the front door sheds
+# load with 429s at queue capacity and reports per-endpoint latency
+# percentiles in /metrics.
 six="BioPerf,BMW,MediaBenchII,SPECint2000,SPECfp2000,SPECint2006"
 "$tmp/phasechar" -quick -quiet -suites "$six" export > "$tmp/six.json"
 "$tmp/phasechar" -cache "$tmp/scache" -addr 127.0.0.1:0 \
@@ -247,18 +248,18 @@ while [ -z "$saddr" ]; do
   fi
   [ -z "$saddr" ] && sleep 0.1
 done
-# Cold six-suite job (records the incremental baseline server-side).
+# Cold six-suite job (becomes the baseline server-side).
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -suites "$six" submit > "$tmp/svc_six.json"
+  -suites "$six" submit > "$tmp/svc_six.json"
 cmp "$tmp/six.json" "$tmp/svc_six.json"
-# Incremental append over the full roster, through the front door.
+# Append over the full roster, through the front door.
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -max-pca-drift 0 -max-centroid-shift 0 submit > "$tmp/svc_full.json"
+  submit > "$tmp/svc_full.json"
 cmp "$tmp/single.json" "$tmp/svc_full.json"
 # Hot-warm repeat: same job again, answered from cached artifacts (and
 # the in-memory tier) — still byte-identical.
 "$tmp/phasechar" -server "http://$saddr" -tenant gate -quick -quiet \
-  -incremental -suites "$six" submit > "$tmp/svc_six_warm.json"
+  -suites "$six" submit > "$tmp/svc_six_warm.json"
 cmp "$tmp/six.json" "$tmp/svc_six_warm.json"
 # Inline tenant models: a job shipping the emerging-era suite inline
 # must export byte-identically to the same roster run locally via
@@ -292,6 +293,10 @@ c = rep["counters"]
 assert c.get("fcache.hot_hits", 0) > 0, f"no hot-tier hits in report: {c}"
 assert c.get("serve.admission_rejects", 0) > 0, "no admission rejects recorded"
 assert c.get("serve.jobs_done", 0) >= 3, f"jobs_done = {c.get('serve.jobs_done')}"
+# Only the full-roster append extends a baseline; every other job is
+# cold or resumes its own artifacts.
+assert c.get("engine.delta.characterize", 0) == 1, \
+    f"engine.delta.characterize = {c.get('engine.delta.characterize')}, want 1 (the append job)"
 h = rep.get("histograms", {})
 post = h.get("serve.http.post_jobs")
 assert post and post["count"] > 0, f"missing post_jobs histogram: {sorted(h)}"
