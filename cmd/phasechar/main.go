@@ -191,46 +191,25 @@ func run() (err error) {
 		return fmt.Errorf("-shard only characterizes (target 'shard'); run the analysis over the shards with -merge %s", *shardSpec)
 	}
 
-	cfg := core.DefaultConfig()
+	// The run's analysis knobs as a service job spec: local runs build
+	// their registry and config from it exactly as the service does, and
+	// the submit target sends it.
+	spec := serve.JobSpec{
+		Suites:    *suites,
+		Seed:      *seed,
+		Interval:  *interval,
+		Samples:   *samples,
+		Clusters:  *clusters,
+		Prominent: *prominent,
+		Key:       *key,
+		Workers:   *workers,
+	}
 	switch {
 	case *paperScale:
-		cfg.IntervalLength = 100000
-		cfg.SamplesPerBenchmark = 150
-		cfg.MaxIntervalsPerBenchmark = 160
+		spec.Preset = "paper-scale"
 	case *quick:
-		cfg = core.TestConfig()
-		cfg.IntervalLength = 5000
-		cfg.SamplesPerBenchmark = 20
-		cfg.MaxIntervalsPerBenchmark = 40
-		cfg.NumClusters = 150
-		cfg.NumProminent = 50
+		spec.Preset = "quick"
 	}
-	if *interval > 0 {
-		cfg.IntervalLength = *interval
-	}
-	if *samples > 0 {
-		cfg.SamplesPerBenchmark = *samples
-	}
-	if *clusters > 0 {
-		cfg.NumClusters = *clusters
-	}
-	if *prominent > 0 {
-		cfg.NumProminent = *prominent
-	}
-	if *key > 0 {
-		cfg.KeyCharacteristics = *key
-	}
-	cfg.Seed = *seed
-	cfg.Workers = *workers
-	cfg.CacheDir = *cacheDir
-	if *mergeN > 0 {
-		cfg.Shard = core.ShardSpec{Index: 0, Count: *mergeN}
-	}
-	cfg.Metrics = m
-	// Run writes the report when the pipeline completes; the deferred
-	// finish rewrites it at exit with the post-pipeline stages (GA
-	// selection, sweeps) included.
-	cfg.ReportPath = obsFlags.Report
 
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -258,25 +237,23 @@ func run() (err error) {
 		return runCorpus(target, corpusFlags, m)
 	}
 
-	reg, err := bench.StandardRegistry()
-	if err != nil {
-		return err
-	}
 	var modelFile *bench.ModelFile
 	if *models != "" {
 		if modelFile, err = bench.ReadModelFiles(*models); err != nil {
 			return err
 		}
-		if reg, err = reg.WithModels(modelFile); err != nil {
-			return err
-		}
 	}
-	if *suites != "" {
-		if reg, err = reg.FilterSuites(*suites); err != nil {
-			return err
-		}
+	reg, cfg, err := spec.Build(modelFile)
+	if err != nil {
+		return err
 	}
-	cfg.Registry = reg
+	cfg.CacheDir = *cacheDir
+	cfg.Shard = *mergeN
+	cfg.Metrics = m
+	// Run writes the report when the pipeline completes; the deferred
+	// finish rewrites it at exit with the post-pipeline stages (GA
+	// selection, sweeps) included.
+	cfg.ReportPath = obsFlags.Report
 
 	if *exportM {
 		data, err := reg.ExportModels()
@@ -342,22 +319,6 @@ func run() (err error) {
 		if *serverURL == "" {
 			return fmt.Errorf("the submit target needs -server http://host:port (a running 'service')")
 		}
-		spec := serve.JobSpec{
-			Suites:    *suites,
-			Seed:      *seed,
-			Interval:  *interval,
-			Samples:   *samples,
-			Clusters:  *clusters,
-			Prominent: *prominent,
-			Key:       *key,
-			Workers:   *workers,
-		}
-		switch {
-		case *paperScale:
-			spec.Preset = "paper-scale"
-		case *quick:
-			spec.Preset = "quick"
-		}
 		if modelFile != nil {
 			if spec.Models, err = json.Marshal(modelFile); err != nil {
 				return err
@@ -392,9 +353,9 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		if cfg.Shard.Count < 1 {
+		if cfg.Shard < 1 {
 			// One shard per worker unless -merge chose a finer split.
-			cfg.Shard = core.ShardSpec{Index: 0, Count: len(urls)}
+			cfg.Shard = len(urls)
 		}
 		coord := &shardnet.Coordinator{
 			Workers: urls,
@@ -436,8 +397,7 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		cfg.Shard = core.ShardSpec{Index: index, Count: count}
-		info, err := core.CharacterizeShard(reg, cfg, logf)
+		_, info, err := core.EncodeShard(reg, cfg, index, count, logf)
 		if err != nil {
 			return err
 		}

@@ -16,19 +16,6 @@ import (
 	"repro/internal/obs"
 )
 
-// ShardSpec splits the characterization stage across processes: shard
-// Index of Count characterizes the benchmarks whose registry position i
-// satisfies i % Count == Index, and persists the resulting vectors as one
-// shard artifact in the cache. The partition depends only on the registry
-// order and Count, so any process can compute any shard independently and
-// a merge run reassembles the exact single-process dataset.
-type ShardSpec struct {
-	// Index is the shard's 0-based index in [0, Count).
-	Index int
-	// Count is the total number of shards; 0 or 1 means unsharded.
-	Count int
-}
-
 // Config holds every knob of the pipeline. DefaultConfig returns the
 // scaled-down equivalents of the paper's settings (see DESIGN.md for the
 // mapping); zero-valued fields of a hand-built Config are filled with the
@@ -85,14 +72,16 @@ type Config struct {
 	// characterizes only the added benchmarks (see incremental.go).
 	// Empty disables caching: every run computes everything.
 	CacheDir string
-	// Shard, when Count > 1, makes Run a merge run: instead of
-	// characterizing everything in-process, each shard's dataset artifact
-	// is loaded from the cache (shards computed elsewhere via
-	// CharacterizeShard / `phasechar -shard i/n`), any missing shard is
-	// characterized locally, and the analysis stages run over the merged
-	// dataset. Requires CacheDir. The merged result is byte-identical to
-	// the single-process run at any worker count and any cache state.
-	Shard ShardSpec
+	// Shard, when > 1, makes Run a merge run over that many shards:
+	// shard i holds the benchmarks whose registry position p satisfies
+	// p % Shard == i. Instead of characterizing everything in-process,
+	// each shard's dataset artifact is loaded from the cache (shards
+	// computed elsewhere via EncodeShard / `phasechar -shard i/n`), any
+	// missing shard is characterized locally, and the analysis stages run
+	// over the merged dataset. Requires CacheDir. The merged result is
+	// byte-identical to the single-process run at any worker count and
+	// any cache state. 0 or 1 means unsharded.
+	Shard int
 	// MemoBudget is ignored: the in-process dataset memo it bounded is
 	// gone, and a repeat characterization is served from the cache's
 	// dataset artifact instead.
@@ -224,13 +213,10 @@ func (c *Config) Validate() error {
 	if c.MinPCStd < 0 {
 		return fmt.Errorf("core: negative PC retention threshold")
 	}
-	if c.Shard.Count < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shard.Count)
+	if c.Shard < 0 {
+		return fmt.Errorf("core: negative shard count %d", c.Shard)
 	}
-	if c.Shard.Count > 1 && (c.Shard.Index < 0 || c.Shard.Index >= c.Shard.Count) {
-		return fmt.Errorf("core: shard index %d outside [0,%d)", c.Shard.Index, c.Shard.Count)
-	}
-	if c.Shard.Count > 1 && c.CacheDir == "" {
+	if c.Shard > 1 && c.CacheDir == "" {
 		return fmt.Errorf("core: sharded runs need a cache directory (shard artifacts live there)")
 	}
 	return nil

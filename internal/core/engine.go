@@ -12,9 +12,9 @@ package core
 //     config recomputes nothing; a corrupt or stale artifact misses and
 //     the stage recomputes — never fails. Without a cache every stage
 //     computes;
-//   - sharded characterization: with Config.Shard.Count > 1, the dominant
+//   - sharded characterization: with Config.Shard > 1, the dominant
 //     characterize stage is assembled from per-shard dataset artifacts
-//     computed independently (CharacterizeShard / `phasechar -shard`);
+//     computed independently (EncodeShard / `phasechar -shard`);
 //   - extend-dataset reuse: an unsharded characterize miss whose roster
 //     extends the latest cached run's copies that run's rows and
 //     characterizes only the added benchmarks (see incremental.go).
@@ -105,10 +105,9 @@ func (e *engine) markStage(name, mode string) {
 // getOrCompute fills art from its cache entry under key or, on a miss,
 // runs compute, which must fill art. The compute runs under the cache's
 // singleflight (fcache.GetOrCompute), which persists its result:
-// concurrent service jobs — or processes sharing the cache directory —
-// needing the same artifact elect one computer, and the rest read its
-// entry. Without a cache it just computes. Returns whether art was
-// loaded rather than computed.
+// concurrent service jobs in one process needing the same artifact
+// elect one computer, and the rest read its entry. Without a cache it
+// just computes. Returns whether art was loaded rather than computed.
 func getOrCompute(cache *fcache.Cache, key fcache.Key, art stageArtifact, compute func() error) (bool, error) {
 	if cache == nil {
 		return false, compute()
@@ -171,12 +170,11 @@ type shardPlan struct {
 	work []IntervalRef
 }
 
-// planShards partitions the sampled refs into cfg.Shard.Count shards by
+// planShards partitions the sampled refs into count >= 1 shards by
 // registry position (benchmark i goes to shard i % count). The partition
 // depends only on the registry order and the count, never on workers or
 // cache state, so every process plans identically.
-func (e *engine) planShards(refs []IntervalRef) []shardPlan {
-	count := max(e.cfg.Shard.Count, 1)
+func (e *engine) planShards(refs []IntervalRef, count int) []shardPlan {
 	plans := make([]shardPlan, count)
 	shardOf := make(map[*bench.Benchmark]int, e.reg.Len())
 	for i, b := range e.reg.All() {
@@ -239,7 +237,7 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
-	plans := e.planShards(refs)
+	plans := e.planShards(refs, max(e.cfg.Shard, 1))
 	arts := make([]*coveredShard, len(plans))
 	// The stage is resumed when every shard was; only the single shard
 	// of an unsharded run can be served by the delta path.
@@ -289,77 +287,5 @@ func (e *engine) characterize(refs []IntervalRef) (*Dataset, error) {
 		UniqueIntervals: unique,
 		Instructions:    instructions,
 		CacheHits:       cacheHits,
-	}, nil
-}
-
-// ShardInfo summarizes one CharacterizeShard invocation.
-type ShardInfo struct {
-	// Index / Count echo the shard coordinates.
-	Index, Count int
-	// Benchmarks is how many registry benchmarks the shard covers.
-	Benchmarks int
-	// Refs is the shard's sampled row count.
-	Refs int
-	// UniqueIntervals is how many distinct intervals the artifact holds.
-	UniqueIntervals int
-	// Instructions is the shard's characterized instruction total.
-	Instructions uint64
-	// Resumed reports that a valid artifact was already present and the
-	// shard was not recomputed.
-	Resumed bool
-}
-
-// CharacterizeShard characterizes exactly one shard of the sampled
-// dataset and persists it as a shard artifact in the cache — the worker
-// half of the shard→merge workflow (`phasechar -shard i/n`). A shard
-// whose artifact is already present and valid is skipped. Requires
-// cfg.CacheDir; cfg.Shard selects the shard.
-func CharacterizeShard(reg *bench.Registry, cfg Config, logf func(string, ...any)) (*ShardInfo, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if cfg.CacheDir == "" {
-		return nil, fmt.Errorf("core: shard characterization needs a cache directory to write the artifact to")
-	}
-	if reg.Len() == 0 {
-		return nil, fmt.Errorf("core: empty benchmark registry")
-	}
-	count := cfg.Shard.Count
-	if count < 1 {
-		count = 1
-	}
-	if cfg.Shard.Index < 0 || cfg.Shard.Index >= count {
-		return nil, fmt.Errorf("core: shard index %d outside [0,%d)", cfg.Shard.Index, count)
-	}
-	refs := SampleRefs(reg, cfg)
-	eng, err := newEngine(reg, cfg, refs, logf)
-	if err != nil {
-		return nil, err
-	}
-	p := eng.planShards(refs)[cfg.Shard.Index]
-	logf("shard %d/%d: %d benchmarks, %d sampled intervals",
-		p.index, p.count, len(p.benches), len(p.refs))
-	art, mode, _, err := eng.loadOrComputeShard(p)
-	if err != nil {
-		return nil, err
-	}
-	loaded := mode == "resumed"
-	if loaded {
-		logf("shard %d/%d: artifact already present (%d unique intervals), nothing to do", p.index, p.count, art.uniqueCount())
-	} else {
-		logf("shard %d/%d: characterized %d unique intervals (%d instructions)",
-			p.index, p.count, art.uniqueCount(), art.instructions)
-	}
-	return &ShardInfo{
-		Index:           p.index,
-		Count:           p.count,
-		Benchmarks:      len(p.benches),
-		Refs:            len(p.refs),
-		UniqueIntervals: art.uniqueCount(),
-		Instructions:    art.instructions,
-		Resumed:         loaded,
 	}, nil
 }

@@ -63,14 +63,13 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		for _, workers := range []int{1, 4} {
 			cacheDir := t.TempDir()
-			// Worker half: one CharacterizeShard invocation per shard,
-			// like `phasechar -shard i/n shard` in n processes.
+			// Worker half: one EncodeShard invocation per shard, like
+			// `phasechar -shard i/n shard` in n processes.
 			for i := 0; i < n; i++ {
 				cfg := miniConfig()
 				cfg.Workers = workers
 				cfg.CacheDir = cacheDir
-				cfg.Shard = ShardSpec{Index: i, Count: n}
-				info, err := CharacterizeShard(reg, cfg, nil)
+				_, info, err := EncodeShard(reg, cfg, i, n, nil)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -88,7 +87,7 @@ func TestShardMergeByteIdentical(t *testing.T) {
 				cfg := miniConfig()
 				cfg.Workers = 5 - workers // merge at a different parallelism than the shards
 				cfg.CacheDir = cacheDir
-				cfg.Shard = ShardSpec{Index: 0, Count: n}
+				cfg.Shard = n
 				cfg.Metrics = obs.New()
 				got, err := Run(reg, cfg, nil)
 				if err != nil {
@@ -120,15 +119,14 @@ func TestMergeComputesMissingShards(t *testing.T) {
 	for _, i := range []int{0, 2} { // shard 1 never runs
 		cfg := miniConfig()
 		cfg.CacheDir = cacheDir
-		cfg.Shard = ShardSpec{Index: i, Count: 3}
-		if _, err := CharacterizeShard(reg, cfg, nil); err != nil {
+		if _, _, err := EncodeShard(reg, cfg, i, 3, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
 	cfg := miniConfig()
 	cfg.CacheDir = cacheDir
-	cfg.Shard = ShardSpec{Index: 0, Count: 3}
+	cfg.Shard = 3
 	cfg.Metrics = obs.New()
 	got, err := Run(reg, cfg, nil)
 	if err != nil {
@@ -297,7 +295,7 @@ func TestShardArtifactRoundTrip(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = ShardSpec{Index: 0, Count: 3}
+	cfg.Shard = 3
 	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
@@ -306,7 +304,7 @@ func TestShardArtifactRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := &coveredShard{work: eng.planShards(refs)[0].work}
+	art := &coveredShard{work: eng.planShards(refs, 3)[0].work}
 	if _, err := art.compute(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -337,21 +335,17 @@ func TestShardArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestShardValidation pins the config-level guard rails of the workflow.
+// TestShardValidation pins the guard rails of the workflow.
 func TestShardValidation(t *testing.T) {
-	cfg := miniConfig()
-	cfg.Shard = ShardSpec{Index: 3, Count: 3}
-	cfg.CacheDir = "x"
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("out-of-range shard index validated")
+	reg := miniRegistry(t)
+	for _, coords := range [][2]int{{3, 3}, {-1, 3}, {0, 0}} {
+		if _, _, err := EncodeShard(reg, miniConfig(), coords[0], coords[1], nil); err == nil {
+			t.Fatalf("out-of-range shard %d/%d encoded", coords[0], coords[1])
+		}
 	}
-	cfg = miniConfig()
-	cfg.Shard = ShardSpec{Index: 0, Count: 3}
+	cfg := miniConfig()
+	cfg.Shard = 3
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("sharded run without a cache directory validated")
-	}
-	cfg = miniConfig()
-	if _, err := CharacterizeShard(miniRegistry(t), cfg, nil); err == nil {
-		t.Fatal("CharacterizeShard without a cache directory succeeded")
 	}
 }

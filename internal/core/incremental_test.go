@@ -240,7 +240,7 @@ func TestShardedRunSkipsBaseline(t *testing.T) {
 	m := obs.New()
 	merge := cfg
 	merge.Metrics = m
-	merge.Shard = ShardSpec{Count: 2}
+	merge.Shard = 2
 	if _, err := Run(reg, merge, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,7 @@ type Result struct {
 // Run executes the full methodology over the registry's benchmarks as a
 // sequence of engine stages (sample → characterize → pca → scores →
 // kmeans → prominent; see engine.go). logf, if non-nil, receives
-// progress lines. With cfg.Shard.Count > 1 the characterize stage merges
+// progress lines. With cfg.Shard > 1 the characterize stage merges
 // per-shard dataset artifacts; with a cache, every stage whose artifact
 // is present and valid is loaded instead of recomputed, and an unsharded
 // characterization that misses extends the latest cached roster it is a

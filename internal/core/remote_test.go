@@ -26,20 +26,17 @@ func TestEncodePutRoundTrip(t *testing.T) {
 
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = ShardSpec{Index: 0, Count: 2}
+	cfg.Shard = 2
 	for s := 0; s < 2; s++ {
-		workerCfg := miniConfig() // stateless: no cache directory
-		workerCfg.Shard = ShardSpec{Index: s, Count: 2}
-		payload, info, err := EncodeShard(reg, workerCfg, noLog)
+		// The worker is stateless: no cache directory.
+		payload, info, err := EncodeShard(reg, miniConfig(), s, 2, noLog)
 		if err != nil {
 			t.Fatalf("EncodeShard %d: %v", s, err)
 		}
 		if info.Index != s || info.Count != 2 || info.UniqueIntervals == 0 {
 			t.Fatalf("EncodeShard %d info = %+v", s, info)
 		}
-		putCfg := cfg
-		putCfg.Shard = ShardSpec{Index: s, Count: 2}
-		if _, err := PutShardArtifact(reg, putCfg, payload); err != nil {
+		if _, err := PutShardArtifact(reg, cfg, s, 2, payload); err != nil {
 			t.Fatalf("PutShardArtifact %d: %v", s, err)
 		}
 	}
@@ -67,8 +64,7 @@ func TestEncodePutRoundTrip(t *testing.T) {
 func TestPutShardArtifactRejects(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
-	cfg.Shard = ShardSpec{Index: 0, Count: 2}
-	payload, _, err := EncodeShard(reg, cfg, noLog)
+	payload, _, err := EncodeShard(reg, cfg, 0, 2, noLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,19 +72,17 @@ func TestPutShardArtifactRejects(t *testing.T) {
 
 	stale := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(stale, artifactVersion()-1)
-	if _, err := PutShardArtifact(reg, cfg, stale); err == nil {
+	if _, err := PutShardArtifact(reg, cfg, 0, 2, stale); err == nil {
 		t.Error("stale-version payload accepted")
 	}
 
 	// Structural damage (truncation) must be rejected here; bit flips in
 	// float data are the transport checksum's job, not coverage checking.
-	if _, err := PutShardArtifact(reg, cfg, payload[:len(payload)-5]); err == nil {
+	if _, err := PutShardArtifact(reg, cfg, 0, 2, payload[:len(payload)-5]); err == nil {
 		t.Error("truncated payload accepted")
 	}
 
-	wrongShard := cfg
-	wrongShard.Shard = ShardSpec{Index: 1, Count: 2}
-	if _, err := PutShardArtifact(reg, wrongShard, payload); err == nil {
+	if _, err := PutShardArtifact(reg, cfg, 1, 2, payload); err == nil {
 		t.Error("shard 0 payload accepted as shard 1")
 	}
 }
@@ -109,8 +103,8 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = ShardSpec{Index: 0, Count: 2}
-	payload, _, err := EncodeShard(reg, cfg, noLog)
+	cfg.Shard = 2
+	payload, _, err := EncodeShard(reg, cfg, 0, 2, noLog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +123,7 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := eng.planShards(refs)[0]
+	p := eng.planShards(refs, 2)[0]
 	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
 	if err := eng.cache.Put(key, stale); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,9 @@
 //
 // Writes are atomic (temp file + rename), so concurrent workers and
 // processes may share one cache directory: duplicate Puts race benignly,
-// with the last rename winning.
+// with the last rename winning. GetOrCompute computes a missing entry at
+// most once per process (see singleflight.go); processes do not
+// coordinate, so two racing on one key each compute identical bytes.
 package fcache
 
 import (
@@ -157,20 +159,18 @@ type Cache struct {
 
 	// Observability sinks, installed by SetMetrics. All are nil (no-op)
 	// by default, so the uninstrumented hot path pays only nil checks.
-	hits          *obs.Counter
-	misses        *obs.Counter
-	corrupt       *obs.Counter
-	skew          *obs.Counter
-	bytesRead     *obs.Counter
-	bytesWritten  *obs.Counter
-	hotHits       *obs.Counter
-	hotMisses     *obs.Counter
-	hotEvict      *obs.Counter
-	hotBytes      *obs.Counter
-	sfLeader      *obs.Counter
-	sfShared      *obs.Counter
-	claimWait     *obs.Counter
-	claimTakeover *obs.Counter
+	hits         *obs.Counter
+	misses       *obs.Counter
+	corrupt      *obs.Counter
+	skew         *obs.Counter
+	bytesRead    *obs.Counter
+	bytesWritten *obs.Counter
+	hotHits      *obs.Counter
+	hotMisses    *obs.Counter
+	hotEvict     *obs.Counter
+	hotBytes     *obs.Counter
+	sfLeader     *obs.Counter
+	sfShared     *obs.Counter
 	// kindHits/kindMisses split the traffic per artifact kind
 	// (fcache.hits.vector, fcache.misses.shard, ...), indexed by Kind.
 	kindHits   [maxKind + 1]*obs.Counter
@@ -234,8 +234,6 @@ func (c *Cache) SetMetrics(m *obs.Metrics) {
 	c.hotBytes = m.Counter("fcache.hot_bytes")
 	c.sfLeader = m.Counter("fcache.sf_leader")
 	c.sfShared = m.Counter("fcache.sf_shared")
-	c.claimWait = m.Counter("fcache.claim_waits")
-	c.claimTakeover = m.Counter("fcache.claim_takeovers")
 	for kind := uint16(1); kind <= maxKind; kind++ {
 		c.kindHits[kind] = m.Counter("fcache.hits." + KindName(kind))
 		c.kindMisses[kind] = m.Counter("fcache.misses." + KindName(kind))
@@ -259,19 +257,17 @@ func (c *Cache) countMiss(kind uint16) {
 	}
 }
 
-// sweepStaleTemps removes orphaned Put temp files and compute claim
-// files under dir, best-effort (a cache must never fail a run over
-// janitorial work), and returns how many it reclaimed. The sweep is
-// age-gated on mtime: fresh temps and claims are left alone, because
-// they may belong to a live writer or computing leader in a concurrent
-// process — only files old enough that their owner must be dead are
-// reclaimed.
+// sweepStaleTemps removes orphaned Put temp files under dir,
+// best-effort (a cache must never fail a run over janitorial work), and
+// returns how many it reclaimed. The sweep is age-gated on mtime: fresh
+// temps are left alone, because they may belong to a live writer in a
+// concurrent process — only files old enough that their owner must be
+// dead are reclaimed.
 func sweepStaleTemps(dir string) int64 {
 	cutoff := time.Now().Add(-staleTempAge)
 	var swept int64
 	_ = filepath.WalkDir(dir, func(path string, d fs.DirEntry, err error) error {
-		if err != nil || d.IsDir() ||
-			(!strings.HasPrefix(d.Name(), tempPrefix) && !strings.HasSuffix(d.Name(), claimSuffix)) {
+		if err != nil || d.IsDir() || !strings.HasPrefix(d.Name(), tempPrefix) {
 			return nil
 		}
 		info, err := d.Info()

@@ -44,10 +44,13 @@ type hotTier struct {
 var hotTiers sync.Map
 
 // EnableHotTier installs an in-memory hot tier with the given byte
-// budget in front of the disk cache rooted at dir. It applies to every
-// Cache handle on dir, including ones already open. A budget <= 0
-// removes the tier. Enabling is idempotent; re-enabling with a new
-// budget resizes (and, if needed, evicts down to) the new budget.
+// budget in front of the disk cache rooted at dir. Open captures dir's
+// tier, so the tier serves the Cache handles opened on dir afterwards;
+// a handle opened before the first enable never uses it. Enabling is
+// idempotent; re-enabling with a new budget resizes (and, if needed,
+// evicts down to) the new budget, for every handle sharing the tier. A
+// budget <= 0 removes the tier from later Opens; handles already open
+// keep the tier they captured.
 func EnableHotTier(dir string, budget int64) {
 	if budget <= 0 {
 		hotTiers.Delete(dir)

@@ -10,8 +10,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/obs"
 )
 
 // TestGetOrComputeSingleflight is the core concurrency contract: K
@@ -54,10 +52,6 @@ func TestGetOrComputeSingleflight(t *testing.T) {
 		if !bytes.Equal(results[i], want) {
 			t.Fatalf("caller %d payload = %q, want %q", i, results[i], want)
 		}
-	}
-	// The claim must be released once the flight lands.
-	if _, err := os.Stat(c.path(k) + claimSuffix); !os.IsNotExist(err) {
-		t.Fatalf("claim file left behind (stat err = %v)", err)
 	}
 }
 
@@ -147,79 +141,47 @@ func TestGetOrComputeErrorPropagates(t *testing.T) {
 	}
 }
 
-// TestGetOrComputeClaimWait exercises the cross-process path: a claim
-// planted by "another process" makes this handle poll; when the entry
-// appears and the claim lifts, the waiter serves it without computing.
-func TestGetOrComputeClaimWait(t *testing.T) {
+// TestGetOrComputeIgnoresLeftoverClaim: a fresh "<entry>.claim" file,
+// as a build that staked cross-process claims leaves behind when it is
+// killed mid-compute, is inert — it neither delays the compute nor is
+// touched by it.
+func TestGetOrComputeIgnoresLeftoverClaim(t *testing.T) {
 	c := testCache(t)
 	k := testKey()
 	p := c.path(k)
 	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	claim := p + claimSuffix
+	claim := p + ".claim"
 	if err := os.WriteFile(claim, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	// The "other process" finishes shortly: entry lands, claim lifts.
+
+	type result struct {
+		payload  []byte
+		computed bool
+		err      error
+	}
+	done := make(chan result, 1)
 	go func() {
-		time.Sleep(60 * time.Millisecond)
-		if err := c.Put(k, []byte("from the other process")); err != nil {
-			t.Error(err)
-		}
-		os.Remove(claim)
+		payload, computed, err := c.GetOrCompute(k, func() ([]byte, error) {
+			return []byte("computed"), nil
+		})
+		done <- result{payload, computed, err}
 	}()
-
-	payload, computed, err := c.GetOrCompute(k, func() ([]byte, error) {
-		return nil, errors.New("should have waited, not computed")
-	})
-	if err != nil {
-		t.Fatal(err)
+	select {
+	case r := <-done:
+		if r.err != nil || !r.computed || string(r.payload) != "computed" {
+			t.Fatalf("got (%q, computed=%v, %v), want an immediate compute", r.payload, r.computed, r.err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("GetOrCompute stalled behind a leftover claim file")
 	}
-	if computed {
-		t.Fatal("waiter computed despite the other process's entry")
+	if got, ok := c.Get(k); !ok || string(got) != "computed" {
+		t.Fatalf("computed entry not persisted: (%q, %v)", got, ok)
 	}
-	if string(payload) != "from the other process" {
-		t.Fatalf("payload = %q", payload)
-	}
-}
-
-// TestGetOrComputeStaleClaimTakeover: a claim whose holder died (old
-// mtime, never refreshed) is taken over instead of waited on forever.
-func TestGetOrComputeStaleClaimTakeover(t *testing.T) {
-	oldTTL := claimTTL
-	claimTTL = 80 * time.Millisecond
-	defer func() { claimTTL = oldTTL }()
-
-	c := testCache(t)
-	m := obs.New()
-	c.SetMetrics(m)
-	k := testKey()
-	p := c.path(k)
-	if err := os.MkdirAll(filepath.Dir(p), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	claim := p + claimSuffix
-	if err := os.WriteFile(claim, nil, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	dead := time.Now().Add(-time.Hour)
-	if err := os.Chtimes(claim, dead, dead); err != nil {
-		t.Fatal(err)
-	}
-
-	payload, computed, err := c.GetOrCompute(k, func() ([]byte, error) {
-		return []byte("taken over"), nil
-	})
-	if err != nil || !computed || string(payload) != "taken over" {
-		t.Fatalf("got (%q, computed=%v, %v), want takeover compute", payload, computed, err)
-	}
-	rep := m.Snapshot()
-	if rep.Counters["fcache.claim_takeovers"] == 0 {
-		t.Fatal("stale-claim takeover not counted")
-	}
-	if _, ok := c.Get(k); !ok {
-		t.Fatal("takeover compute did not persist the entry")
+	if _, err := os.Stat(claim); err != nil {
+		t.Fatalf("leftover claim file should be left alone: %v", err)
 	}
 }
 
@@ -254,9 +216,9 @@ func TestGetOrComputeDistinctKeys(t *testing.T) {
 	}
 }
 
-// TestSweepAgeGating: the stale sweep is mtime-gated — a freshly created
-// temp (a live Put in another process) and a fresh claim (a live compute)
-// survive, while hour-old orphans of both flavors are reclaimed.
+// TestSweepAgeGating: the stale sweep is mtime-gated — a freshly
+// created temp (a live Put in another process) survives, while an
+// hour-old orphan is reclaimed, and entries are never touched.
 func TestSweepAgeGating(t *testing.T) {
 	dir := t.TempDir()
 	sub := filepath.Join(dir, "ab", "cd")
@@ -264,33 +226,29 @@ func TestSweepAgeGating(t *testing.T) {
 		t.Fatal(err)
 	}
 	freshTemp := filepath.Join(sub, tempPrefix+"fresh")
-	freshClaim := filepath.Join(sub, "0123456789abcdef.fc"+claimSuffix)
 	staleTemp := filepath.Join(sub, tempPrefix+"stale")
-	staleClaim := filepath.Join(sub, "fedcba9876543210.fc"+claimSuffix)
 	entry := filepath.Join(sub, "0123456789abcdef.fc")
-	for _, f := range []string{freshTemp, freshClaim, staleTemp, staleClaim, entry} {
+	for _, f := range []string{freshTemp, staleTemp, entry} {
 		if err := os.WriteFile(f, []byte("x"), 0o644); err != nil {
 			t.Fatal(err)
 		}
 	}
 	old := time.Now().Add(-2 * staleTempAge)
-	for _, f := range []string{staleTemp, staleClaim, entry} {
+	for _, f := range []string{staleTemp, entry} {
 		if err := os.Chtimes(f, old, old); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	if swept := sweepStaleTemps(dir); swept != 2 {
-		t.Fatalf("swept = %d, want 2 (the stale temp and the stale claim)", swept)
+	if swept := sweepStaleTemps(dir); swept != 1 {
+		t.Fatalf("swept = %d, want 1 (the stale temp)", swept)
 	}
-	for _, f := range []string{freshTemp, freshClaim, entry} {
+	for _, f := range []string{freshTemp, entry} {
 		if _, err := os.Stat(f); err != nil {
 			t.Fatalf("%s should have survived the sweep: %v", filepath.Base(f), err)
 		}
 	}
-	for _, f := range []string{staleTemp, staleClaim} {
-		if _, err := os.Stat(f); !os.IsNotExist(err) {
-			t.Fatalf("%s should have been reclaimed (err = %v)", filepath.Base(f), err)
-		}
+	if _, err := os.Stat(staleTemp); !os.IsNotExist(err) {
+		t.Fatalf("%s should have been reclaimed (err = %v)", filepath.Base(staleTemp), err)
 	}
 }

@@ -15,7 +15,7 @@ import (
 
 // MetricsHandler returns an http.Handler that serves the collector's
 // live Snapshot as indented JSON — the /metrics endpoint of both the
-// standalone obs.Serve listener and the characterization service's
+// standalone Metrics.Serve listener and the characterization service's
 // front-door mux. Nil receiver serves 503 (observability disabled).
 func (m *Metrics) MetricsHandler() http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
@@ -37,18 +37,14 @@ func (m *Metrics) MetricsHandler() http.Handler {
 //	/debug/pprof  the standard pprof index (profile, heap, trace, ...)
 //
 // It listens on addr (e.g. "localhost:6060"; ":0" picks a free port),
-// serves in a background goroutine, and returns the bound address plus a
-// shutdown func that drains in-flight requests (bounded by the passed
-// context) instead of killing them mid-response; calling it more than
-// once is safe. Nil receiver is an error — the caller asked for an
-// endpoint.
+// serves through ListenAndDrain in a background goroutine, and returns
+// the bound address plus a shutdown func that stops the listener and
+// waits for in-flight requests to drain, for as long as the passed
+// context allows; later calls return the first call's result. Nil
+// receiver is an error — the caller asked for an endpoint.
 func (m *Metrics) Serve(addr string) (string, func(context.Context) error, error) {
 	if m == nil {
 		return "", nil, fmt.Errorf("obs: no metrics collector to serve (observability disabled)")
-	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return "", nil, fmt.Errorf("obs: metrics endpoint: %w", err)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", m.MetricsHandler())
@@ -58,21 +54,32 @@ func (m *Metrics) Serve(addr string) (string, func(context.Context) error, error
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	srv := &http.Server{Handler: mux, ReadHeaderTimeout: 5 * time.Second}
+	ctx, stop := context.WithCancel(context.Background())
+	bound := make(chan string, 1)
 	done := make(chan error, 1)
-	go func() { done <- srv.Serve(ln) }()
-	var once sync.Once
-	var shutErr error
-	shutdown := func(ctx context.Context) error {
-		once.Do(func() {
-			shutErr = srv.Shutdown(ctx)
-			if err := <-done; err != nil && !errors.Is(err, http.ErrServerClosed) && shutErr == nil {
-				shutErr = err
-			}
-		})
-		return shutErr
+	go func() {
+		done <- ListenAndDrain(ctx, addr, mux, func(a net.Addr) { bound <- a.String() })
+	}()
+	select {
+	case a := <-bound:
+		var once sync.Once
+		var err error
+		shutdown := func(wait context.Context) error {
+			once.Do(func() {
+				stop()
+				select {
+				case err = <-done:
+				case <-wait.Done():
+					err = wait.Err()
+				}
+			})
+			return err
+		}
+		return a, shutdown, nil
+	case err := <-done:
+		stop()
+		return "", nil, fmt.Errorf("obs: metrics endpoint: %w", err)
 	}
-	return ln.Addr().String(), shutdown, nil
 }
 
 // drainTimeout bounds how long ListenAndDrain waits for in-flight
@@ -82,8 +89,9 @@ const drainTimeout = 30 * time.Second
 
 // ListenAndDrain binds addr (host:port, port 0 for ephemeral), reports
 // the bound address through ready (which may be nil), and serves h until
-// ctx is cancelled or the listener fails — the listen-and-drain loop of
-// the shard server and the characterization service. On cancellation
+// ctx is cancelled or the listener fails — the one listen-and-drain loop
+// behind the shard server, the characterization service and the
+// -metrics-addr endpoint (Metrics.Serve). On cancellation
 // the listener closes at once, requests already being served drain to
 // completion (bounded by drainTimeout), and a clean drain returns nil; a
 // listener failure returns its error.

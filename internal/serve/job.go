@@ -21,7 +21,8 @@ type JobSpec struct {
 	Preset string `json:"preset,omitempty"`
 	// Suites is the -suites comma-separated roster filter (empty: all).
 	Suites string `json:"suites,omitempty"`
-	// Seed is the pipeline seed; 0 means the CLI default (1).
+	// Seed is the pipeline seed. The field omits zero, so a submitted
+	// job with seed 0 runs the CLI default, 1.
 	Seed int64 `json:"seed,omitempty"`
 	// Interval / Samples / Clusters / Prominent / Key override the
 	// preset the way the -interval / -samples / -clusters / -prominent /
@@ -49,11 +50,15 @@ type JobSpec struct {
 	Models json.RawMessage `json:"models,omitempty"`
 }
 
-// build materializes the spec into the registry and config the
-// equivalent CLI invocation would run — the preset switch and override
-// ladder mirror cmd/phasechar exactly. The cache directory and metrics
-// sink are the service's to fill in afterwards.
-func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
+// Build materializes the spec into the registry and config of the run
+// it names: the preset ladder, the overrides and the roster assembly
+// (built-in suites, then models, then the Suites filter). It is the one
+// spec-to-config mapping — phasechar builds its local runs through it
+// too — so a job and the equivalent one-shot command run the same
+// pipeline. models is the spec's workload-model file already decoded
+// (nil: none); Build does not read the raw Models field. The cache
+// directory and metrics sink are the caller's to fill in afterwards.
+func (sp JobSpec) Build(models *bench.ModelFile) (*bench.Registry, core.Config, error) {
 	cfg := core.DefaultConfig()
 	switch sp.Preset {
 	case "":
@@ -87,24 +92,14 @@ func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
 		cfg.KeyCharacteristics = sp.Key
 	}
 	cfg.Seed = sp.Seed
-	if cfg.Seed == 0 {
-		cfg.Seed = 1 // the CLI flag default
-	}
 	cfg.Workers = sp.Workers
 
 	reg, err := bench.StandardRegistry()
 	if err != nil {
 		return nil, cfg, err
 	}
-	if len(sp.Models) > 0 {
-		if len(sp.Models) > bench.MaxModelBytes {
-			return nil, cfg, fmt.Errorf("serve: inline models are %d bytes (cap %d)", len(sp.Models), bench.MaxModelBytes)
-		}
-		mf, err := bench.DecodeModels(sp.Models)
-		if err != nil {
-			return nil, cfg, err
-		}
-		if reg, err = reg.WithModels(mf); err != nil {
+	if models != nil {
+		if reg, err = reg.WithModels(models); err != nil {
 			return nil, cfg, err
 		}
 	}
@@ -115,6 +110,22 @@ func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
 	}
 	cfg.Registry = reg
 	return reg, cfg, nil
+}
+
+// build is Build over the decoded inline models: the service's view of
+// a submitted spec, whose zero seed is the CLI default.
+func (sp JobSpec) build() (*bench.Registry, core.Config, error) {
+	var models *bench.ModelFile
+	if len(sp.Models) > 0 {
+		var err error
+		if models, err = bench.DecodeModels(sp.Models); err != nil {
+			return nil, core.Config{}, err
+		}
+	}
+	if sp.Seed == 0 {
+		sp.Seed = 1
+	}
+	return sp.Build(models)
 }
 
 // State is a job's lifecycle position. queued and running are live;

@@ -42,8 +42,8 @@ const (
 
 // Coordinator distributes shard computations across HTTP workers.
 type Coordinator struct {
-	// Workers are the worker base URLs ("http://host:port"). Bare
-	// host:port is accepted.
+	// Workers are the worker base URLs ("http://host:port", as
+	// cliobs.ParseWorkers normalizes them).
 	Workers []string
 	// Timeout is the per-request deadline (0 = 30s).
 	Timeout time.Duration
@@ -208,7 +208,7 @@ func (d *dispatcher) kill(w, shard int) (reassigned, abandoned int) {
 	return reassigned, abandoned
 }
 
-// Distribute computes the cfg.Shard.Count shards of (reg, cfg) on the
+// Distribute computes the cfg.Shard shards of (reg, cfg) on the
 // workers and stores every verified artifact in cfg.CacheDir. It returns
 // once all shards are settled — computed remotely or left for the merge
 // run to compute locally. A fully successful run leaves Local == 0; a
@@ -224,42 +224,32 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("shardnet: distributing shards needs a cache directory")
 	}
-	n := cfg.Shard.Count
-	if n < 1 {
-		n = 1
-	}
+	n := max(cfg.Shard, 1)
 	hash, err := core.DatasetHash(reg, cfg)
 	if err != nil {
 		return nil, err
 	}
-	workers := make([]string, len(c.Workers))
-	for i, w := range c.Workers {
-		if !strings.Contains(w, "://") {
-			w = "http://" + w
-		}
-		workers[i] = strings.TrimRight(w, "/")
-	}
 
-	span := c.Metrics.StartSpan("rpc.distribute").SetRows(n).SetWorkers(len(workers))
+	span := c.Metrics.StartSpan("rpc.distribute").SetRows(n).SetWorkers(len(c.Workers))
 	d := &dispatcher{
-		queues:      make([][]int, len(workers)),
-		alive:       make([]bool, len(workers)),
-		aliveCount:  len(workers),
+		queues:      make([][]int, len(c.Workers)),
+		alive:       make([]bool, len(c.Workers)),
+		aliveCount:  len(c.Workers),
 		outstanding: n,
 	}
 	d.cond = sync.NewCond(&d.mu)
 	d.stats.Shards = n
 	for s := 0; s < n; s++ {
-		w := s % len(workers)
+		w := s % len(c.Workers)
 		d.queues[w] = append(d.queues[w], s)
 	}
-	for i := range workers {
+	for i := range c.Workers {
 		d.alive[i] = true
 	}
 
 	client := &http.Client{Transport: c.Transport}
 	var wg sync.WaitGroup
-	for w := range workers {
+	for w := range c.Workers {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
@@ -271,12 +261,12 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 				if !ok {
 					return
 				}
-				nbytes, err := c.fetchShard(client, workers[w], reg, cfg, shard, n, hash, rng, d)
+				nbytes, err := c.fetchShard(client, c.Workers[w], reg, cfg, shard, n, hash, rng, d)
 				if err == nil {
 					d.done(nbytes)
 					continue
 				}
-				c.logf("shardnet: worker %d (%s) failed shard %d/%d: %v", w, workers[w], shard, n, err)
+				c.logf("shardnet: worker %d (%s) failed shard %d/%d: %v", w, c.Workers[w], shard, n, err)
 				reassigned, abandoned := d.kill(w, shard)
 				c.Metrics.Counter("rpc.reassigned").Add(int64(reassigned))
 				if abandoned > 0 {
@@ -293,7 +283,7 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 	d.mu.Unlock()
 	span.SetBytes(stats.Bytes).End()
 	c.logf("shardnet: distributed %d/%d shard(s) across %d worker(s) (%d dead, %d reassigned, %d retries)",
-		stats.Remote, stats.Shards, len(workers), stats.DeadWorkers, stats.Reassigned, stats.Retries)
+		stats.Remote, stats.Shards, len(c.Workers), stats.DeadWorkers, stats.Reassigned, stats.Retries)
 	return &stats, nil
 }
 
@@ -307,8 +297,6 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 	if err != nil {
 		return 0, err
 	}
-	shardCfg := cfg
-	shardCfg.Shard = core.ShardSpec{Index: shard, Count: count}
 
 	attempts := c.retries() + 1
 	var lastErr error
@@ -322,7 +310,7 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 			wait = wait/2 + time.Duration(rng.Uint64n(uint64(wait)))
 			time.Sleep(wait)
 		}
-		nbytes, err := c.tryShard(client, workerURL, frame, reg, shardCfg, &req)
+		nbytes, err := c.tryShard(client, workerURL, frame, reg, cfg, &req)
 		if err == nil {
 			return nbytes, nil
 		}
@@ -340,7 +328,7 @@ func (c *Coordinator) fetchShard(client *http.Client, workerURL string, reg *ben
 }
 
 // tryShard performs one request/verify/store attempt.
-func (c *Coordinator) tryShard(client *http.Client, workerURL string, frame []byte, reg *bench.Registry, shardCfg core.Config, want *ShardRequest) (int64, error) {
+func (c *Coordinator) tryShard(client *http.Client, workerURL string, frame []byte, reg *bench.Registry, cfg core.Config, want *ShardRequest) (int64, error) {
 	ctx, cancel := context.WithTimeout(context.Background(), c.timeout())
 	defer cancel()
 	httpReq, err := http.NewRequestWithContext(ctx, http.MethodPost, workerURL+"/shard", bytes.NewReader(frame))
@@ -378,7 +366,7 @@ func (c *Coordinator) tryShard(client *http.Client, workerURL string, frame []by
 	if sr.Index != want.Index || sr.Count != want.Count {
 		return nbytes, fmt.Errorf("response for shard %d/%d, want %d/%d", sr.Index, sr.Count, want.Index, want.Count)
 	}
-	if _, err := core.PutShardArtifact(reg, shardCfg, sr.Payload); err != nil {
+	if _, err := core.PutShardArtifact(reg, cfg, want.Index, want.Count, sr.Payload); err != nil {
 		return nbytes, err
 	}
 	return nbytes, nil

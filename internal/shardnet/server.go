@@ -93,7 +93,7 @@ func (s *Server) handleShard(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	span := s.Metrics.StartSpan("rpc.serve_shard").SetRows(req.Count).SetWorkers(s.Workers)
-	payload, info, err := core.EncodeShard(s.Reg, cfg, s.Logf)
+	payload, info, err := core.EncodeShard(s.Reg, cfg, req.Index, req.Count, s.Logf)
 	if err != nil {
 		span.End()
 		s.refuse(w, http.StatusInternalServerError, err)

@@ -119,7 +119,7 @@ func startWorkers(t *testing.T, reg *bench.Registry, n, compute int) (urls, host
 func distributedExport(t *testing.T, reg *bench.Registry, cfg core.Config, shards int, coord *Coordinator) ([]byte, *DistributeStats) {
 	t.Helper()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = core.ShardSpec{Index: 0, Count: shards}
+	cfg.Shard = shards
 	stats, err := coord.Distribute(reg, cfg)
 	if err != nil {
 		t.Fatalf("Distribute: %v", err)

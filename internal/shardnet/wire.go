@@ -92,7 +92,6 @@ func (r *ShardRequest) Config(workers int, cacheDir string) core.Config {
 		Seed:                     r.Seed,
 		Workers:                  workers,
 		CacheDir:                 cacheDir,
-		Shard:                    core.ShardSpec{Index: r.Index, Count: r.Count},
 	}
 }
 

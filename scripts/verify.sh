@@ -3,8 +3,9 @@
 # smoke tests of the benchmark module, the race detector over every
 # package, short fuzz runs over every binary decoder, the
 # shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
-# k-means pruning gate (the quick export's distance-evaluation count under
-# a ceiling), the incremental append byte-identity gate, the distributed
+# crash-recovery gate (a cached rerun after kill -9 mid-characterize does
+# not stall and exports the same bytes), the k-means pruning gate (the
+# quick export's distance-evaluation count under a ceiling), the incremental append byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
 # as declarative model files and reloaded runs byte-identically, and the
@@ -130,6 +131,37 @@ for stage in ("pca", "scores", "kmeans", "prominent"):
     assert got == 1, f"rerun resumed {stage} {got} times, want 1: {sorted(k for k in c if k.startswith('engine.'))}"
 print("rerun gate: no interval generated; pca, scores, kmeans, prominent resumed")
 EOF
+
+echo "== crash-recovery gate (kill -9 mid-characterize, cached rerun)"
+# A cached run killed mid-compute must cost its rerun only the work it
+# lost: nothing the dead process left in the cache may stall the rerun,
+# which must export the plain run's bytes well inside a minute (a quick
+# run takes seconds). The victim dies once its first cache entry lands,
+# while the dataset artifact it is computing is still in flight.
+"$tmp/phasechar" -quick -quiet -cache "$tmp/kcache" export > /dev/null &
+victim=$!
+WORKER_PIDS="$WORKER_PIDS $victim"
+tries=0
+while [ -z "$(find "$tmp/kcache" -name '*.fc' 2>/dev/null | head -n 1)" ]; do
+  tries=$((tries + 1))
+  if [ "$tries" -gt 600 ] || ! kill -0 "$victim" 2>/dev/null; then
+    echo "crash gate: the victim wrote no cache entry before it ended" >&2
+    exit 1
+  fi
+  sleep 0.05
+done
+if ! kill -9 "$victim" 2>/dev/null; then
+  echo "crash gate: the victim finished before it could be killed" >&2
+  exit 1
+fi
+wait "$victim" 2>/dev/null || true
+timeout 60 "$tmp/phasechar" -quick -quiet -cache "$tmp/kcache" export > "$tmp/crash_rerun.json"
+cmp "$tmp/single.json" "$tmp/crash_rerun.json"
+if [ -n "$(find "$tmp/kcache" -name '*.claim' | head -n 1)" ]; then
+  echo "crash gate: the cache holds .claim files" >&2
+  exit 1
+fi
+echo "crash gate: the rerun after kill -9 exported the plain run's bytes"
 
 echo "== k-means pruning gate (quick export)"
 # The pruned k-means (triangle-inequality seeding, per-group Lloyd
