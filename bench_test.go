@@ -350,8 +350,13 @@ func clusteredScores(rows, dims, blobs int, seed int64) *stats.Matrix {
 	return data
 }
 
-// BenchmarkGAFitnessParallel measures concurrent genome evaluation with a
-// deliberately non-trivial fitness (the paper's distance objective).
+// BenchmarkGAFitnessParallel measures concurrent genome evaluation with
+// the paper's distance objective. The workers=N rows search a synthetic
+// 100 x 69 matrix built from five column patterns with a small GA. The
+// prominent/workers=N rows run the search the pipeline runs: 12 genes
+// at the default GA configuration over the 100 x 69 prominent-phase
+// matrix of a small pipeline run. Every row reports evals/s, distinct
+// genome evaluations per second.
 func BenchmarkGAFitnessParallel(b *testing.B) {
 	rng := trace.NewRNG(3)
 	data := stats.NewMatrix(100, mica.NumMetrics)
@@ -362,27 +367,54 @@ func BenchmarkGAFitnessParallel(b *testing.B) {
 			row[j] = base*float64(j%5) + rng.Float64()
 		}
 	}
-	fitness, err := ga.DistanceFitness(data, 1.0)
+	prominent := prominentPhases(b)
+	for _, c := range []struct {
+		name string
+		data *stats.Matrix
+		cfg  ga.Config
+	}{
+		{"", data, ga.Config{TargetCount: 12, Seed: 7, Populations: 2, PopulationSize: 16, MaxGenerations: 12, Patience: 6}},
+		{"prominent/", prominent, ga.Config{TargetCount: 12, Seed: 7}},
+	} {
+		fitness, err := ga.DistanceFitness(c.data, 1.0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, workers := range workerCounts() {
+			b.Run(fmt.Sprintf("%sworkers=%d", c.name, workers), func(b *testing.B) {
+				cfg := c.cfg
+				cfg.Workers = workers
+				evals := 0
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					sel, err := ga.Run(c.data.Cols, fitness, cfg)
+					if err != nil {
+						b.Fatal(err)
+					}
+					evals += sel.Evaluations
+				}
+				b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
+			})
+		}
+	}
+}
+
+// prominentPhases returns the 100 x 69 prominent-phase matrix of a
+// small pipeline run (the test configuration with 120 clusters).
+func prominentPhases(b *testing.B) *stats.Matrix {
+	b.Helper()
+	reg, err := bench.StandardRegistry()
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, workers := range workerCounts() {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			evals := 0
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sel, err := ga.Run(mica.NumMetrics, fitness, ga.Config{
-					TargetCount: 12, Seed: 7, Workers: workers,
-					Populations: 2, PopulationSize: 16, MaxGenerations: 12, Patience: 6,
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				evals += sel.Evaluations
-			}
-			b.ReportMetric(float64(evals)/b.Elapsed().Seconds(), "evals/s")
-		})
+	cfg := core.TestConfig()
+	cfg.NumClusters = 120
+	cfg.NumProminent = 100
+	res, err := core.Run(reg, cfg, nil)
+	if err != nil {
+		b.Fatal(err)
 	}
+	return res.ProminentRawMatrix()
 }
 
 // BenchmarkSelectKSweep measures the concurrent k-range evaluation used by

@@ -114,7 +114,7 @@ func run() (err error) {
 		prominent   = flag.Int("prominent", 0, "number of prominent phases (0: default 100)")
 		key         = flag.Int("key", 0, "number of GA-selected key characteristics (0: default 12)")
 		seed        = flag.Int64("seed", 1, "pipeline seed")
-		workers     = flag.Int("workers", 0, "parallel workers for every stage — characterization, k-means, GA, distance kernels (0: GOMAXPROCS; results are worker-count independent)")
+		workers     = flag.Int("workers", 0, "parallel workers for every stage — characterization, k-means, GA (0: GOMAXPROCS; results are worker-count independent)")
 		paperScale  = flag.Bool("paper-scale", false, "use larger, closer-to-paper parameters (slower)")
 		quick       = flag.Bool("quick", false, "use small, fast parameters (for smoke runs)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")

@@ -45,8 +45,7 @@ type Config struct {
 	// KeyCharacteristics is the GA target cardinality (the paper's 12).
 	KeyCharacteristics int
 	// Workers bounds the pipeline's parallelism — characterization,
-	// clustering, GA fitness evaluation and the distance kernels; 0 =
-	// GOMAXPROCS. Every stage is worker-count deterministic: a run's
+	// clustering and GA fitness evaluation; 0 = GOMAXPROCS. Every stage is worker-count deterministic: a run's
 	// Result (and its JSON export) is byte-identical for any Workers.
 	Workers int
 	// Seed makes the whole pipeline deterministic.

@@ -2,6 +2,7 @@ package ga
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"repro/internal/par"
@@ -17,12 +18,22 @@ import (
 // fitness discounts correlation among the raw characteristics, exactly as
 // section 2.7 describes.
 //
-// The returned Fitness is a pure function of its input (it only reads
-// data and the precomputed reference distances), so it is safe for the
-// concurrent evaluation Run performs when Config.Workers allows it: each
-// evaluation borrows a pooled stats.PCAWorkspace, so the select -> PCA
-// -> rescale -> distance chain runs on recycled buffers instead of
-// allocating ~15k objects per genome.
+// Everything that does not depend on the genome is computed here, once:
+// the columns' statistics, z-scores and covariance (stats.Standardize),
+// the reference distances (the all-columns genome, scored through the
+// same path as every other) and the reference half of the Pearson
+// correlation. A genome evaluation gathers its covariance block and
+// z-scores, runs its own Jacobi eigendecomposition, projects, rescales,
+// and computes its pairwise distances in one fused loop that also sums
+// them. Every step performs the floating-point operations of the plain
+// SelectColumns -> ComputePCA -> RescaledScores -> PairwiseDistances ->
+// Pearson chain in the same order, so each fitness value is that
+// chain's, bit for bit.
+//
+// The returned Fitness only reads that precomputed state, so it is safe
+// for the concurrent evaluation Run performs when Config.Workers allows
+// it: each evaluation borrows pooled buffers, and its only
+// allocations are sort.Slice's small fixed overhead.
 //
 // minPCStd is the retention threshold for principal components (the paper
 // keeps components with standard deviation > 1).
@@ -30,59 +41,102 @@ func DistanceFitness(data *stats.Matrix, minPCStd float64) (Fitness, error) {
 	if data.Rows < 3 {
 		return nil, fmt.Errorf("ga: distance fitness needs at least 3 rows, have %d", data.Rows)
 	}
-	ref, err := rescaledDistances(data, minPCStd)
+	f := &distanceFitness{std: stats.Standardize(data), minPCStd: minPCStd}
+	all := make([]int, data.Cols)
+	for i := range all {
+		all[i] = i
+	}
+	var sc evalBuffers
+	ref, sum, err := f.distances(&sc, all)
 	if err != nil {
 		return nil, fmt.Errorf("ga: reference distances: %w", err)
 	}
-	var pool sync.Pool // *stats.PCAWorkspace
-	return func(selected []int) float64 {
-		ws, _ := pool.Get().(*stats.PCAWorkspace)
-		if ws == nil {
-			ws = new(stats.PCAWorkspace)
-		}
-		score := evalDistanceFitness(ws, data, ref, selected, minPCStd)
-		pool.Put(ws)
-		return score
-	}, nil
+	f.ref = newPearsonRef(ref, sum)
+	return f.score, nil
 }
 
-// evalDistanceFitness scores one genome on a borrowed workspace. Every
-// intermediate result aliases ws and is fully overwritten on the next
-// evaluation; the only value that escapes is the Pearson score.
-func evalDistanceFitness(ws *stats.PCAWorkspace, data *stats.Matrix, ref []float64, selected []int, minPCStd float64) float64 {
-	reduced, err := ws.SelectColumns(data, selected)
-	if err != nil {
-		return -1
-	}
-	pca, err := ws.ComputePCA(reduced, true)
-	if err != nil {
-		return -1
-	}
-	k := pca.NumRetained(minPCStd)
-	scores, err := ws.RescaledScores(pca, reduced, k)
-	if err != nil {
-		return -1
-	}
-	return stats.Pearson(ref, ws.PairwiseDistances(scores))
+// distanceFitness is the state DistanceFitness precomputes; apart from
+// the pool it is read-only once built.
+type distanceFitness struct {
+	std      *stats.Standardized
+	minPCStd float64
+	ref      pearsonRef
+	pool     sync.Pool // *evalBuffers
 }
 
-// rescaledDistances normalizes the data, runs PCA, retains components with
-// standard deviation above minPCStd, rescales the retained scores to unit
-// variance, and returns the pairwise distances between the rows. The
-// distance kernel stays single-worker here because rescaledDistances is
-// itself invoked from Run's concurrent genome evaluations; nesting another
-// fan-out per genome would only add scheduling overhead.
-func rescaledDistances(data *stats.Matrix, minPCStd float64) ([]float64, error) {
-	pca, err := stats.ComputePCA(data, true)
-	if err != nil {
-		return nil, err
+// evalBuffers holds one evaluation's reusable buffers.
+type evalBuffers struct {
+	ws   stats.PCAWorkspace
+	dist []float64
+}
+
+// score is the Fitness: -1 for a genome the PCA rejects (an empty or
+// out-of-range selection).
+func (f *distanceFitness) score(selected []int) float64 {
+	sc, _ := f.pool.Get().(*evalBuffers)
+	if sc == nil {
+		sc = new(evalBuffers)
 	}
-	k := pca.NumRetained(minPCStd)
-	scores, err := pca.RescaledScores(data, k)
-	if err != nil {
-		return nil, err
+	r := -1.0
+	if dist, sum, err := f.distances(sc, selected); err == nil {
+		r = f.ref.corr(dist, sum)
 	}
-	return stats.PairwiseDistances(scores), nil
+	f.pool.Put(sc)
+	return r
+}
+
+// distances returns the pairwise distances between the rows in the
+// rescaled-PCA space of the columns cols, and their sum in pair order.
+// The distances alias sc.
+func (f *distanceFitness) distances(sc *evalBuffers, cols []int) ([]float64, float64, error) {
+	pca, err := sc.ws.SubsetPCA(f.std, cols)
+	if err != nil {
+		return nil, 0, err
+	}
+	scores, err := sc.ws.SubsetRescaledScores(f.std, cols, pca, pca.NumRetained(f.minPCStd))
+	if err != nil {
+		return nil, 0, err
+	}
+	var sum float64
+	sc.dist, sum = stats.PairwiseDistancesInto(sc.dist, scores)
+	return sc.dist, sum, nil
+}
+
+// pearsonRef is the genome-independent half of stats.Pearson(x, y) for a
+// fixed reference sample x: x's deviations from its mean and their sum
+// of squares.
+type pearsonRef struct {
+	dx  []float64
+	sxx float64
+}
+
+// newPearsonRef prepares x, whose index-order sum is sum.
+func newPearsonRef(x []float64, sum float64) pearsonRef {
+	mx := sum / float64(len(x))
+	r := pearsonRef{dx: make([]float64, len(x))}
+	for i, v := range x {
+		d := v - mx
+		r.dx[i] = d
+		r.sxx += d * d
+	}
+	return r
+}
+
+// corr is stats.Pearson(x, y), bit for bit, given y's index-order sum:
+// the same mean, the same deviations and the same index-order sums.
+func (r *pearsonRef) corr(y []float64, sum float64) float64 {
+	my := sum / float64(len(y))
+	y = y[:len(r.dx)]
+	var sxy, syy float64
+	for i, dx := range r.dx {
+		dy := y[i] - my
+		sxy += dx * dy
+		syy += dy * dy
+	}
+	if r.sxx == 0 || syy == 0 {
+		return 0
+	}
+	return sxy / math.Sqrt(r.sxx*syy)
 }
 
 // SweepResult is one point of the correlation-vs-cardinality curve

@@ -124,12 +124,16 @@ func TestGAWithDistanceFitnessEndToEnd(t *testing.T) {
 	}
 }
 
-// The pooled-workspace fitness must stay within a fixed allocation
-// budget per evaluation: the select -> PCA -> rescale -> distance chain
-// runs entirely on recycled buffers, so steady-state cost is dominated
-// by sort.Slice's small fixed overhead inside ComputePCA. The ceiling
-// has headroom for an occasional GC-cleared pool, but catches any
-// regression back toward the ~15k objects/op the chain used to allocate.
+// The pooled fitness must stay within a fixed allocation budget per
+// evaluation: the gather -> PCA -> rescale -> distance chain runs
+// entirely on recycled buffers, so the steady state is sort.Slice's two
+// allocations inside the eigenpair sort. The ceiling leaves headroom for
+// an occasional GC-cleared pool (one fresh set of buffers, ~20
+// allocations, spread over the 100 runs) and catches any per-evaluation
+// buffer that stops being reused. Under the race detector sync.Pool
+// drops a quarter of its Puts on purpose, so every evaluation that finds
+// the pool empty builds fresh buffers (about 11 allocations per
+// evaluation on average), and the ceiling there is 25.
 func TestDistanceFitnessAllocBudget(t *testing.T) {
 	data := phaseData(40, 20, []int{1, 6, 11}, 9)
 	fitness, err := DistanceFitness(data, 1.0)
@@ -150,8 +154,11 @@ func TestDistanceFitnessAllocBudget(t *testing.T) {
 		fitness(genomes[i%len(genomes)])
 		i++
 	})
-	const budget = 25
+	budget := 4.0
+	if RaceEnabled {
+		budget = 25
+	}
 	if avg > budget {
-		t.Fatalf("fitness evaluation averages %.1f allocs, budget %d", avg, budget)
+		t.Fatalf("fitness evaluation averages %.1f allocs, budget %.0f", avg, budget)
 	}
 }

@@ -90,7 +90,9 @@ func SquaredDistance(a, b []float64) float64 {
 // Distance returns the Euclidean distance between two equal-length
 // vectors. This is the repo's one distance implementation; every caller
 // (stats.EuclideanDistance, k-means seeding, hierarchical clustering,
-// SimPoint accuracy) routes through it.
+// SimPoint accuracy) routes through it, except stats.PairwiseDistances,
+// whose fused pair loop inlines SquaredDistance's arithmetic and is
+// pinned bit for bit to it by a test.
 func Distance(a, b []float64) float64 {
 	return math.Sqrt(SquaredDistance(a, b))
 }

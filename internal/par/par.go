@@ -1,7 +1,7 @@
 // Package par is the shared worker-pool substrate of the analysis stages.
 // Every parallel hot path in the repository (k-means restarts and Lloyd
-// assignment passes, BIC SelectK sweeps, GA fitness evaluation, pairwise
-// distance kernels, interval characterization) funnels through these
+// assignment passes, BIC SelectK sweeps, GA fitness evaluation and
+// sweeps, interval characterization) funnels through these
 // helpers so that one invariant is enforced in one place:
 //
 //	results are byte-identical for any worker count.

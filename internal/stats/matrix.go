@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"repro/internal/kernel"
-	"repro/internal/par"
 )
 
 // Matrix is a dense row-major matrix of float64.
@@ -61,10 +60,8 @@ func (m *Matrix) Clone() *Matrix {
 // SelectColumns returns a new matrix containing only the given columns, in
 // the given order.
 func (m *Matrix) SelectColumns(cols []int) (*Matrix, error) {
-	for _, c := range cols {
-		if c < 0 || c >= m.Cols {
-			return nil, fmt.Errorf("stats: column %d out of range [0,%d)", c, m.Cols)
-		}
+	if err := checkCols(cols, m.Cols); err != nil {
+		return nil, err
 	}
 	out := NewMatrix(m.Rows, len(cols))
 	for i := 0; i < m.Rows; i++ {
@@ -206,27 +203,49 @@ func EuclideanDistance(a, b []float64) float64 {
 // PairwiseDistances returns the upper-triangle (i < j) Euclidean distances
 // between the rows of m, flattened in row-major order of pairs.
 func PairwiseDistances(m *Matrix) []float64 {
-	return ParallelPairwiseDistances(m, 1)
+	d, _ := PairwiseDistancesInto(nil, m)
+	return d
 }
 
-// ParallelPairwiseDistances computes PairwiseDistances with the rows
-// chunked over up to workers goroutines (values < 1 mean GOMAXPROCS).
-// Every pair (i, j) writes only its own output slot at a position that is
-// a pure function of (i, j, Rows), so the result is byte-identical for
-// any worker count.
-func ParallelPairwiseDistances(m *Matrix, workers int) []float64 {
-	n := m.Rows
-	out := make([]float64, n*(n-1)/2)
-	par.ForChunks(workers, n, 0, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			ri := m.Row(i)
-			base := i*(n-1) - i*(i-1)/2 - i - 1 // + j = slot of pair (i, j)
-			for j := i + 1; j < n; j++ {
-				out[base+j] = EuclideanDistance(ri, m.Row(j))
+// PairwiseDistancesInto is PairwiseDistances into dst (grown when too
+// short) that also returns the distances' sum, added in pair order: the
+// order Pearson sums a sample in. It is one fused loop over the pairs.
+// Each distance is bit for bit EuclideanDistance of its two rows: the
+// loop inlines kernel.SquaredDistance's four-lane accumulation and its
+// (s0+s1)+(s2+s3) combine instead of calling it once per pair.
+func PairwiseDistancesInto(dst []float64, m *Matrix) ([]float64, float64) {
+	n, d := m.Rows, m.Cols
+	dst = growFloats(dst, n*(n-1)/2)
+	d4 := d &^ 3
+	var sum float64
+	k := 0
+	for i := 0; i < n; i++ {
+		ri := m.Data[i*d : (i+1)*d : (i+1)*d]
+		for j := i + 1; j < n; j++ {
+			rj := m.Data[j*d : (j+1)*d : (j+1)*d]
+			var s0, s1, s2, s3 float64
+			c := 0
+			for ; c < d4; c += 4 {
+				e0 := ri[c] - rj[c]
+				e1 := ri[c+1] - rj[c+1]
+				e2 := ri[c+2] - rj[c+2]
+				e3 := ri[c+3] - rj[c+3]
+				s0 += e0 * e0
+				s1 += e1 * e1
+				s2 += e2 * e2
+				s3 += e3 * e3
 			}
+			for ; c < d; c++ {
+				e := ri[c] - rj[c]
+				s0 += e * e
+			}
+			v := math.Sqrt((s0 + s1) + (s2 + s3))
+			dst[k] = v
+			sum += v
+			k++
 		}
-	})
-	return out
+	}
+	return dst, sum
 }
 
 // Pearson computes the Pearson correlation coefficient between two

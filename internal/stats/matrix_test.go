@@ -2,6 +2,7 @@ package stats
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -142,23 +143,46 @@ func TestEuclideanDistancePanicsOnMismatch(t *testing.T) {
 	EuclideanDistance([]float64{1}, []float64{1, 2})
 }
 
-func TestParallelPairwiseDistancesMatchesSerial(t *testing.T) {
-	m := NewMatrix(57, 7)
-	for i := range m.Data {
-		m.Data[i] = float64((i*2654435761)%1000) / 999
+// TestPairwiseDistancesMatchEuclidean pins the fused pair loop to the
+// distance kernel: every pair is bit for bit EuclideanDistance of its
+// rows, for widths that exercise the four-lane body and every tail
+// length, and the returned sum is the pair-order sum Pearson would form.
+// A stale, longer dst must be reused and fully overwritten.
+func TestPairwiseDistancesMatchEuclidean(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	dst := make([]float64, 5000)
+	for i := range dst {
+		dst[i] = math.NaN()
 	}
-	ref := PairwiseDistances(m)
-	if len(ref) != m.Rows*(m.Rows-1)/2 {
-		t.Fatalf("pair count %d", len(ref))
-	}
-	for _, workers := range []int{2, 3, 8} {
-		got := ParallelPairwiseDistances(m, workers)
-		if len(got) != len(ref) {
-			t.Fatalf("workers=%d: %d pairs, want %d", workers, len(got), len(ref))
-		}
-		for i := range ref {
-			if got[i] != ref[i] {
-				t.Fatalf("workers=%d: pair %d = %v, want %v", workers, i, got[i], ref[i])
+	for _, rows := range []int{0, 1, 2, 3, 57} {
+		for cols := 0; cols <= 9; cols++ {
+			m := NewMatrix(rows, cols)
+			for i := range m.Data {
+				m.Data[i] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
+			}
+			var got []float64
+			var sum float64
+			got, sum = PairwiseDistancesInto(dst, m)
+			if len(got) != rows*(rows-1)/2 {
+				t.Fatalf("%dx%d: %d pairs", rows, cols, len(got))
+			}
+			var want float64
+			k := 0
+			for i := 0; i < rows; i++ {
+				for j := i + 1; j < rows; j++ {
+					d := EuclideanDistance(m.Row(i), m.Row(j))
+					if math.Float64bits(got[k]) != math.Float64bits(d) {
+						t.Fatalf("%dx%d pair (%d,%d) = %v, EuclideanDistance %v", rows, cols, i, j, got[k], d)
+					}
+					want += d
+					k++
+				}
+			}
+			if math.Float64bits(sum) != math.Float64bits(want) {
+				t.Fatalf("%dx%d: sum %v, pair-order sum %v", rows, cols, sum, want)
+			}
+			if plain := PairwiseDistances(m); len(plain) != len(got) || (len(plain) > 0 && plain[len(plain)-1] != got[len(got)-1]) {
+				t.Fatalf("%dx%d: PairwiseDistances disagrees with PairwiseDistancesInto", rows, cols)
 			}
 		}
 	}

@@ -69,7 +69,7 @@ func (p *PCA) ExplainedVariance(k int) float64 {
 // Project maps the rows of data (raw, un-normalized) into the space of the
 // first k principal components, applying the stored normalization.
 func (p *PCA) Project(data *Matrix, k int) (*Matrix, error) {
-	if err := p.checkProject(data, k); err != nil {
+	if err := p.checkProject(data.Cols, k); err != nil {
 		return nil, err
 	}
 	out := NewMatrix(data.Rows, k)
@@ -78,9 +78,10 @@ func (p *PCA) Project(data *Matrix, k int) (*Matrix, error) {
 	return out, nil
 }
 
-func (p *PCA) checkProject(data *Matrix, k int) error {
-	if data.Cols != p.Components.Cols {
-		return fmt.Errorf("stats: projecting %d-column data through %d-column PCA", data.Cols, p.Components.Cols)
+// checkProject rejects projecting cols-column data onto k components.
+func (p *PCA) checkProject(cols, k int) error {
+	if cols != p.Components.Cols {
+		return fmt.Errorf("stats: projecting %d-column data through %d-column PCA", cols, p.Components.Cols)
 	}
 	if k < 1 || k > p.Components.Rows {
 		return fmt.Errorf("stats: cannot retain %d of %d components", k, p.Components.Rows)

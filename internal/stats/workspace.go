@@ -1,11 +1,11 @@
-// PCAWorkspace: buffer reuse for the PCA -> rescale -> pairwise-distance
-// chain. The GA fitness function runs that chain once per genome
-// evaluation — tens of thousands of times per sweep — and every stage
-// used to allocate its result afresh. A workspace owns one reusable
-// buffer per stage; repeated evaluations overwrite instead of
-// reallocating. Results computed through a workspace are bit-identical
-// to the plain entry points (both run the same helper code on fully
-// overwritten buffers); only the allocation behavior differs.
+// PCAWorkspace: buffer reuse for the PCA -> rescale chain, which the GA
+// fitness function runs once per genome evaluation — tens of thousands
+// of times per sweep. A workspace owns one reusable buffer per stage;
+// repeated evaluations overwrite instead of reallocating. Results
+// computed through a workspace are bit-identical to the plain entry
+// points (both run the same helper code on fully overwritten buffers);
+// only the allocation behavior differs. Standardized holds what those
+// evaluations share.
 package stats
 
 import (
@@ -35,12 +35,36 @@ func GrowMatrix(m *Matrix, rows, cols int) *Matrix {
 
 func growMatrixInto(m *Matrix, rows, cols int) *Matrix { return GrowMatrix(m, rows, cols) }
 
+// Standardized is a data matrix prepared once for many subset PCAs: its
+// raw column statistics, its z-scored copy and the covariance of that
+// copy. Each is computed column by column, or column pair by column
+// pair, so the values a PCA of any column subset derives are already in
+// it: PCAWorkspace.SubsetPCA and SubsetRescaledScores gather them
+// instead of recomputing. A Standardized is read-only once built and
+// safe for concurrent use.
+type Standardized struct {
+	stats ColumnStats // raw per-column mean and std
+	z     *Matrix     // the data z-scored with stats
+	cov   *Matrix     // Cols x Cols covariance of z
+}
+
+// Standardize precomputes data's column statistics, z-scores and their
+// covariance with the helpers ComputePCA(data, true) runs. data is not
+// retained.
+func Standardize(data *Matrix) *Standardized {
+	s := &Standardized{z: NewMatrix(data.Rows, data.Cols), cov: NewMatrix(data.Cols, data.Cols)}
+	data.columnMeansStdsInto(&s.stats)
+	data.normalizeInto(s.z, &s.stats)
+	var cs ColumnStats
+	s.z.covarianceInto(s.cov, &cs)
+	return s
+}
+
 // PCAWorkspace holds reusable buffers for the analysis chain. The zero
 // value is ready to use. Results returned by its methods alias the
 // workspace and are valid only until the next call on the same
 // workspace; a workspace must not be used concurrently.
 type PCAWorkspace struct {
-	sel      *Matrix
 	work     *Matrix
 	cov      *Matrix
 	scores   *Matrix
@@ -52,25 +76,6 @@ type PCAWorkspace struct {
 	order    []int
 	pca      PCA
 	centered []float64
-	dist     []float64
-}
-
-// SelectColumns is Matrix.SelectColumns into a reused buffer.
-func (w *PCAWorkspace) SelectColumns(m *Matrix, cols []int) (*Matrix, error) {
-	for _, c := range cols {
-		if c < 0 || c >= m.Cols {
-			return nil, fmt.Errorf("stats: column %d out of range [0,%d)", c, m.Cols)
-		}
-	}
-	w.sel = growMatrixInto(w.sel, m.Rows, len(cols))
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := w.sel.Row(i)
-		for j, c := range cols {
-			dst[j] = src[c]
-		}
-	}
-	return w.sel, nil
 }
 
 // ComputePCA is the package-level ComputePCA on reused buffers. The
@@ -97,6 +102,49 @@ func (w *PCAWorkspace) ComputePCA(data *Matrix, normalize bool) (*PCA, error) {
 	p := data.Cols
 	w.cov = growMatrixInto(w.cov, p, p)
 	w.work.covarianceInto(w.cov, &w.covCS)
+	return w.eigenPCA()
+}
+
+// SubsetPCA is ComputePCA(sel, true), bit for bit, where sel holds the
+// columns cols (in that order, as Matrix.SelectColumns picks them) of
+// the matrix s was built from. Nothing that does not depend on cols is
+// recomputed: the input statistics and the covariance block are gathered
+// from s, and only the eigendecomposition runs. z-scoring works one
+// column at a time, and covariance entry (a, b) is the row-ordered sum
+// of da·db over the rows where da ≠ 0, so the gathered values are the
+// ones the subset would compute. That holds for any cols on finite data:
+// for an unsorted pair the skipped rows differ, but they add only ±0 to
+// a sum that is never −0. The returned PCA aliases the workspace.
+func (w *PCAWorkspace) SubsetPCA(s *Standardized, cols []int) (*PCA, error) {
+	if err := checkCols(cols, s.z.Cols); err != nil {
+		return nil, err
+	}
+	if s.z.Rows < 2 {
+		return nil, fmt.Errorf("stats: PCA needs at least 2 rows, have %d", s.z.Rows)
+	}
+	if len(cols) < 1 {
+		return nil, fmt.Errorf("stats: PCA needs at least 1 column")
+	}
+	p := len(cols)
+	w.inCS.Mean = growFloats(w.inCS.Mean, p)
+	w.inCS.Std = growFloats(w.inCS.Std, p)
+	w.cov = growMatrixInto(w.cov, p, p)
+	for a, ca := range cols {
+		w.inCS.Mean[a] = s.stats.Mean[ca]
+		w.inCS.Std[a] = s.stats.Std[ca]
+		src, dst := s.cov.Row(ca), w.cov.Row(a)
+		for b, cb := range cols {
+			dst[b] = src[cb]
+		}
+	}
+	return w.eigenPCA()
+}
+
+// eigenPCA finishes a PCA whose covariance matrix is in w.cov and whose
+// input statistics are in w.inCS: the Jacobi eigendecomposition, then
+// the eigenpairs sorted by decreasing eigenvalue into w.pca.
+func (w *PCAWorkspace) eigenPCA() (*PCA, error) {
+	p := w.cov.Rows
 	if err := jacobiEigenInto(w.cov, 200, 1e-12, &w.jw); err != nil {
 		return nil, err
 	}
@@ -140,34 +188,45 @@ func (w *PCAWorkspace) ComputePCA(data *Matrix, normalize bool) (*PCA, error) {
 	return &w.pca, nil
 }
 
-// RescaledScores is PCA.RescaledScores on reused buffers; p is typically
-// the result of this workspace's ComputePCA. The returned matrix aliases
-// the workspace.
-func (w *PCAWorkspace) RescaledScores(p *PCA, data *Matrix, k int) (*Matrix, error) {
-	if err := p.checkProject(data, k); err != nil {
+// SubsetRescaledScores is PCA.RescaledScores(sel, k), bit for bit, for
+// p = SubsetPCA(s, cols) and sel the selected columns that call stands
+// for. Each row's centered input is gathered from s's z-scores, which
+// are exactly the (v − mean)/std that projection would compute, and the
+// scores are then projected and rescaled as RescaledScores does. The
+// returned matrix aliases the workspace.
+func (w *PCAWorkspace) SubsetRescaledScores(s *Standardized, cols []int, p *PCA, k int) (*Matrix, error) {
+	if err := checkCols(cols, s.z.Cols); err != nil {
 		return nil, err
 	}
-	w.scores = growMatrixInto(w.scores, data.Rows, k)
-	w.centered = growFloats(w.centered, data.Cols)
-	p.projectInto(data, k, w.scores, w.centered)
+	if err := p.checkProject(len(cols), k); err != nil {
+		return nil, err
+	}
+	n := s.z.Rows
+	w.scores = growMatrixInto(w.scores, n, k)
+	w.centered = growFloats(w.centered, len(cols))
+	centered := w.centered
+	for i := 0; i < n; i++ {
+		z := s.z.Row(i)
+		for j, c := range cols {
+			centered[j] = z[c]
+		}
+		dst := w.scores.Row(i)
+		for c := range dst {
+			dst[c] = kernel.Dot(p.Components.Row(c), centered)
+		}
+	}
 	w.scores.columnMeansStdsInto(&w.scoreCS)
-	w.rescaled = growMatrixInto(w.rescaled, data.Rows, k)
+	w.rescaled = growMatrixInto(w.rescaled, n, k)
 	w.scores.normalizeInto(w.rescaled, &w.scoreCS)
 	return w.rescaled, nil
 }
 
-// PairwiseDistances is the package-level PairwiseDistances into a reused
-// buffer (serial, like the plain single-worker path).
-func (w *PCAWorkspace) PairwiseDistances(m *Matrix) []float64 {
-	n := m.Rows
-	w.dist = growFloats(w.dist, n*(n-1)/2)
-	out := w.dist
-	for i := 0; i < n; i++ {
-		ri := m.Row(i)
-		base := i*(n-1) - i*(i-1)/2 - i - 1 // + j = slot of pair (i, j)
-		for j := i + 1; j < n; j++ {
-			out[base+j] = EuclideanDistance(ri, m.Row(j))
+// checkCols rejects column indexes outside [0, n).
+func checkCols(cols []int, n int) error {
+	for _, c := range cols {
+		if c < 0 || c >= n {
+			return fmt.Errorf("stats: column %d out of range [0,%d)", c, n)
 		}
 	}
-	return out
+	return nil
 }

@@ -5,7 +5,10 @@
 # shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
 # crash-recovery gate (a cached rerun after kill -9 mid-characterize does
 # not stall and exports the same bytes), the k-means pruning gate (the
-# quick export's distance-evaluation count under a ceiling), the incremental append byte-identity gate, the distributed
+# quick export's distance-evaluation count under a ceiling), the GA gate
+# (the quick Table 2 selection and Figure 1 sweep byte-identical to
+# checked-in goldens at two worker counts), the incremental append
+# byte-identity gate, the distributed
 # loopback gate (networked workers with injected faults and a mid-run
 # worker kill), the workload-model round-trip gate (the roster exported
 # as declarative model files and reloaded runs byte-identically, and the
@@ -187,6 +190,23 @@ print(f"k-means pruning gate: {evals} center evals <= {ceiling}; "
       f"a full scan on every pass would make {full} ({evals / full:.1%})")
 assert evals <= ceiling, f"kmeans.center_evals = {evals} > ceiling {ceiling}"
 EOF
+
+echo "== GA gate (quick table2 and fig1 against goldens)"
+# The key-characteristic search end to end through the CLI: the quick
+# Table 2 selection (genes, correlation, generation and evaluation
+# counts) and the Figure 1 sweep, on stdout and in the -out CSVs, must
+# match the checked-in goldens byte for byte at -workers 1 and 3. The
+# goldens come from the fitness that recomputed every statistic per
+# genome; the precomputed path must reproduce them exactly.
+for w in 1 3; do
+  "$tmp/phasechar" -quick -quiet -workers "$w" -out "$tmp/ga$w" table2 > "$tmp/ga_table2_$w.txt"
+  "$tmp/phasechar" -quick -quiet -workers "$w" -out "$tmp/ga$w" fig1 > "$tmp/ga_fig1_$w.txt"
+  cmp scripts/testdata/ga_quick_table2.txt "$tmp/ga_table2_$w.txt"
+  cmp scripts/testdata/ga_quick_table2.csv "$tmp/ga$w/table2.csv"
+  cmp scripts/testdata/ga_quick_fig1.txt "$tmp/ga_fig1_$w.txt"
+  cmp scripts/testdata/ga_quick_fig1.csv "$tmp/ga$w/fig1.csv"
+done
+echo "GA gate: table2 and fig1 match their goldens at -workers 1 and 3"
 
 echo "== workload-model round-trip gate"
 # Suites as data, end to end through the CLI: the built-in roster
