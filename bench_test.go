@@ -694,9 +694,13 @@ func BenchmarkTraceEncode(b *testing.B) {
 // BenchmarkCorpusQuery prices the phase corpus's online queries on a
 // paper-scale database: 77 benchmarks x 150 interval vectors = 11,550
 // rows of 69 characteristics — the corpus a full-roster campaign at 150
-// samples per benchmark would accumulate. The exact blocked scan is the
-// baseline (the target is sub-millisecond); the probed variant is the
-// IVF partition layer at a fraction of the rows.
+// samples per benchmark would accumulate. nearest-exact is the blocked
+// full scan; nearest-probed visits 8 of the IVF partition's lists;
+// uniqueness (one benchmark's 150 rows) and novelty (one suite's 1,650
+// rows) visit, per row, the lists the partition's bound cannot rule
+// out. The rows are uniform noise, the hard case for that bound: no
+// list is tight. rows/s counts the rows each query visited (its
+// Scanned), not the rows of the corpus.
 func BenchmarkCorpusQuery(b *testing.B) {
 	const (
 		nBenches = 77
@@ -751,6 +755,9 @@ func BenchmarkCorpusQuery(b *testing.B) {
 	})
 	b.Run("uniqueness", func(b *testing.B) {
 		query(b, corpus.QueryRequest{Op: "uniqueness", Bench: "Suite0/bench00"})
+	})
+	b.Run("novelty", func(b *testing.B) {
+		query(b, corpus.QueryRequest{Op: "novelty", Suite: "Suite0"})
 	})
 }
 

@@ -325,6 +325,11 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 		if b.Entries[i].Kind > KindCentroid {
 			return IngestInfo{}, fmt.Errorf("corpus: entry %d has unknown kind %d", i, b.Entries[i].Kind)
 		}
+		// One NaN or infinity would poison its column's corpus-wide
+		// normalization, and with it every distance.
+		if !finite(b.Entries[i].Vector) {
+			return IngestInfo{}, fmt.Errorf("corpus: entry %d has a non-finite value", i)
+		}
 	}
 
 	c.mu.Lock()

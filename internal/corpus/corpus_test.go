@@ -3,6 +3,7 @@ package corpus
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"testing"
@@ -134,6 +135,8 @@ func TestIngestValidation(t *testing.T) {
 			{Vector: []float64{1, 2}}, {Vector: []float64{1}},
 		}},
 		"unknown kind": {Dataset: 1, Entries: []Entry{{Kind: 9, Vector: []float64{1}}}},
+		"NaN value":    {Dataset: 1, Entries: []Entry{{Vector: []float64{1, math.NaN()}}}},
+		"infinity":     {Dataset: 1, Entries: []Entry{{Vector: []float64{math.Inf(-1), 1}}}},
 	}
 	for name, b := range cases {
 		if _, err := c.IngestBatch(b); err == nil {

@@ -5,15 +5,21 @@ package corpus
 // transposed blocks for kernel.DotCols — the same column-scan kernel
 // (and the same determinism contract: serial per-column sums, ties to
 // the lowest index) the k-means assignment runs on. The exact scan
-// visits every row; the optional IVF layer (Probe > 0) partitions the
-// rows under a deterministic coarse k-means quantizer and visits only
-// the nearest partitions. Everything derived here is a pure function of
-// the manifest's record set, so query answers are byte-identical across
-// worker counts, before and after compaction, and via CLI or service.
+// visits every row for "nearest". A coarse IVF partition, built lazily
+// under a deterministic k-means quantizer, serves the rest: probed
+// "nearest" (Probe > 0) visits only the nearest lists, and each
+// uniqueness or novelty row visits only the lists a triangle-inequality
+// bound cannot rule out, testing their rows with the exact scan's own
+// arithmetic, so those answers are the exact scan's. Everything derived
+// here is a pure function of the manifest's record set, so query
+// answers are byte-identical across worker counts, before and after
+// compaction, and via CLI or service.
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/cluster"
@@ -52,7 +58,7 @@ type index struct {
 	blocks  []scanBlock
 	byBench map[string][]int // interval rows per benchmark ID
 	bySuite map[string][]int // interval rows per suite
-	ivf     *ivfIndex        // built on first probed query
+	ivf     *ivfIndex        // built on first probed or radius query
 }
 
 // indexLocked returns the index for the current manifest, building it
@@ -130,6 +136,11 @@ func buildIndex(segs []*segment, dim int) (*index, error) {
 	// distances weight each characteristic by its corpus-wide spread
 	// rather than its unit of measure.
 	ix.norm, ix.cs = raw.Normalize()
+	if !finite(ix.norm.Data) {
+		// Finite values whose column sums overflow: a NaN distance would
+		// break every answer's order, so no query is answered.
+		return nil, fmt.Errorf("corpus: a column's values overflow its corpus-wide normalization")
+	}
 
 	for start := 0; start < total; start += scanBlockRows {
 		n := total - start
@@ -157,6 +168,12 @@ func (ix *index) normalize(raw []float64) []float64 {
 		}
 	}
 	return q
+}
+
+// rowNorm is index row r's squared norm as the scan blocks store it.
+func (ix *index) rowNorm(r int) float64 {
+	blk := &ix.blocks[r/scanBlockRows]
+	return blk.norms[r-blk.start]
 }
 
 // Neighbor is one query answer row.
@@ -206,9 +223,7 @@ func pushCandidate(cand []candidate, k int, c candidate) []candidate {
 // it scanned. probe > 0 routes through the IVF layer.
 func (ix *index) nearest(qn []float64, k, probe int, skip func(int) bool) ([]candidate, int) {
 	if probe > 0 {
-		if ivf := ix.ivfLayer(); ivf != nil {
-			return ix.nearestIVF(ivf, qn, k, probe, skip)
-		}
+		return ix.nearestIVF(ix.ivfLayer(), qn, k, probe, skip)
 	}
 	qq := kernel.SquaredNorm(qn)
 	var cand []candidate
@@ -230,31 +245,6 @@ func (ix *index) nearest(qn []float64, k, probe int, skip func(int) bool) ([]can
 		}
 	}
 	return cand, scanned
-}
-
-// hasNeighborWithin reports whether any non-skipped row lies within
-// radius of index row r (in normalized space), with block-level early
-// exit. It reports how many rows it scanned.
-func (ix *index) hasNeighborWithin(r int, radius float64, skip func(int) bool) (bool, int) {
-	qn := ix.norm.Row(r)
-	qq := kernel.SquaredNorm(qn)
-	r2 := radius * radius
-	scanned := 0
-	dots := make([]float64, scanBlockRows)
-	for _, blk := range ix.blocks {
-		kernel.DotCols(qn, blk.ct, dots, blk.n)
-		scanned += blk.n
-		for i := 0; i < blk.n; i++ {
-			row := blk.start + i
-			if skip != nil && skip(row) {
-				continue
-			}
-			if qq+blk.norms[i]-2*dots[i] <= r2 {
-				return true, scanned
-			}
-		}
-	}
-	return false, scanned
 }
 
 // UniquenessResult is one benchmark's corpus-uniqueness: the paper's
@@ -287,11 +277,11 @@ func (ix *index) uniqueness(bench string, radius float64) (UniquenessResult, int
 	}
 	res := UniquenessResult{Bench: bench, Rows: len(rows)}
 	scanned := 0
-	skip := func(i int) bool {
+	within := ix.withinRadius(radius, func(i int) bool {
 		return ix.entries[i].kind != KindInterval || ix.entries[i].bench == bench
-	}
+	})
 	for _, r := range rows {
-		hit, n := ix.hasNeighborWithin(r, radius, skip)
+		hit, n := within(r)
 		scanned += n
 		if !hit {
 			res.Unique++
@@ -313,13 +303,13 @@ func (ix *index) novelty(suite string, radius float64) (NoveltyResult, int, erro
 	}
 	res := NoveltyResult{Suite: suite, Rows: len(rows)}
 	scanned := 0
-	skip := func(i int) bool {
+	within := ix.withinRadius(radius, func(i int) bool {
 		return ix.entries[i].kind != KindInterval || ix.entries[i].suite == suite
-	}
+	})
 	perBench := make(map[string]*UniquenessResult)
 	var order []string
 	for _, r := range rows {
-		hit, n := ix.hasNeighborWithin(r, radius, skip)
+		hit, n := within(r)
 		scanned += n
 		id := ix.entries[r].bench
 		ur := perBench[id]
@@ -344,7 +334,7 @@ func (ix *index) novelty(suite string, radius float64) (NoveltyResult, int, erro
 	return res, scanned, nil
 }
 
-// --- IVF partition layer (sub-linear nearest-neighbor queries) ---
+// --- IVF partition layer (probed nearest, pruned radius queries) ---
 
 // ivfNlistCap bounds the coarse-quantizer size; sqrt(N) lists keep both
 // the center scan and the probed lists around sqrt(N) rows.
@@ -354,11 +344,23 @@ type ivfIndex struct {
 	nlist    int
 	centersT []float64 // dim x nlist, column-major
 	norms    []float64 // squared norms of the centers
-	lists    [][]int32 // member rows per list, ascending
+	lists    []ivfList
+	maxLen   int     // rows in the longest list
+	margin   float64 // round-off cover of the radius skip rule
 }
 
-// ivfLayer lazily builds the coarse partition. A corpus too small to
-// profit (fewer than two rows per would-be list) stays exact-only.
+// ivfList is one partition list, laid out for the radius path.
+type ivfList struct {
+	rows   []int32   // member rows, ascending
+	ct     []float64 // the members transposed, dim x len(rows), for DotCols
+	norms  []float64 // the members' squared norms, the scan blocks' bits
+	radius float64   // the largest member distance from the center
+}
+
+// ivfLayer lazily builds the coarse partition. A corpus too small for
+// the quantizer (fewer than two rows per would-be list) gets one list
+// of every row, centered at the origin (the normalized corpus's mean),
+// through which probed and radius queries visit every row.
 func (ix *index) ivfLayer() *ivfIndex {
 	if ix.ivf != nil {
 		return ix.ivf
@@ -368,30 +370,82 @@ func (ix *index) ivfLayer() *ivfIndex {
 	if nlist > ivfNlistCap {
 		nlist = ivfNlistCap
 	}
-	if nlist < 1 || n < 2*nlist {
-		return nil
+	centers, assign := stats.NewMatrix(1, ix.dim), make([]int, n)
+	if nlist >= 1 && n >= 2*nlist {
+		// The coarse quantizer is a small deterministic k-means over the
+		// normalized corpus — fixed seed, fixed options, worker-independent
+		// by the cluster package's contract — so the partition (and with it
+		// every probed answer) is a pure function of the record set.
+		res, err := cluster.KMeans(ix.norm, nlist, cluster.Options{
+			MaxIters: 25, Restarts: 1, Seed: 1,
+		})
+		if err == nil {
+			centers, assign = res.Centers, res.Assignments
+		}
 	}
-	// The coarse quantizer is a small deterministic k-means over the
-	// normalized corpus — fixed seed, fixed options, worker-independent
-	// by the cluster package's contract — so the partition (and with it
-	// every probed answer) is a pure function of the record set.
-	res, err := cluster.KMeans(ix.norm, nlist, cluster.Options{
-		MaxIters: 25, Restarts: 1, Seed: 1,
-	})
-	if err != nil {
-		return nil
-	}
+	nlist = centers.Rows
 	ivf := &ivfIndex{
 		nlist:    nlist,
 		centersT: make([]float64, ix.dim*nlist),
 		norms:    make([]float64, nlist),
-		lists:    make([][]int32, nlist),
+		lists:    make([]ivfList, nlist),
 	}
-	kernel.Transpose(res.Centers.Data, nlist, ix.dim, ivf.centersT)
-	kernel.RowSquaredNorms(res.Centers.Data, nlist, ix.dim, ivf.norms)
-	for row, a := range res.Assignments {
-		ivf.lists[a] = append(ivf.lists[a], int32(row))
+	kernel.Transpose(centers.Data, nlist, ix.dim, ivf.centersT)
+	kernel.RowSquaredNorms(centers.Data, nlist, ix.dim, ivf.norms)
+	for row, a := range assign {
+		ivf.lists[a].rows = append(ivf.lists[a].rows, int32(row))
 	}
+	m2 := 0.0 // the largest squared norm of any row or center
+	for _, v := range ivf.norms {
+		m2 = max(m2, v)
+	}
+	ct := make([]float64, n*ix.dim) // every list's block, back to back
+	for c := range ivf.lists {
+		l := &ivf.lists[c]
+		k := len(l.rows)
+		l.ct, ct = ct[:k*ix.dim], ct[k*ix.dim:]
+		l.norms = make([]float64, k)
+		mu := centers.Row(c)
+		for i, r := range l.rows {
+			d2 := 0.0
+			for j, x := range ix.norm.Row(int(r)) {
+				l.ct[j*k+i] = x
+				d := x - mu[j]
+				d2 += d * d
+			}
+			l.radius = max(l.radius, math.Sqrt(d2))
+			l.norms[i] = ix.rowNorm(int(r))
+			m2 = max(m2, l.norms[i])
+		}
+		ivf.maxLen = max(ivf.maxLen, k)
+	}
+	// The radius skip rule. For a query row q and a list with center μ
+	// and radius R = max |x − μ| over its members, the triangle
+	// inequality gives |q − x| ≥ |q − μ| − R for every member x, so no
+	// member lies within the radius once |q − μ| − R > radius. But a list
+	// may be skipped only when no member could pass the exact scan's
+	// *computed* test qq + |x|² − 2·dot ≤ radius², so the computed bound
+	// must clear the radius by a margin covering three round-offs. With
+	// u = 2⁻⁵³, γ = (d+2)u/(1−(d+2)u) and M² the largest squared norm of
+	// any row or center (m2):
+	//
+	//   - the scan's computed d² is within γ(|q|+|x|)² ≤ 4γM² of
+	//     |q − x|², so a member can pass the test only if
+	//     |q − x| ≤ sqrt(radius²(1+u) + 4γM²) ≤ radius(1+u) + 2M·√γ;
+	//   - the computed center distance comes through the same norm
+	//     expansion, so it is within 2M·√γ (plus the rounding of its
+	//     square root, u relative) of |q − μ|;
+	//   - R comes from direct differences, about γ/2 relative on a value
+	//     below 2M.
+	//
+	// So a bound that clears the radius by 4M·√γ plus terms of order uM
+	// proves the skip. (A skipped list has a bound above the radius and
+	// below about 2M, so the radius's own rounding is of order uM too.)
+	// The margin 8·sqrt((d+4)·2⁻⁵⁰·M²) = 8√8·M·sqrt((d+4)u), the form of
+	// the k-means bounds' cluster.boundMargin, covers that about 5.7x
+	// over. A NaN norm makes the margin NaN, and a NaN comparison never
+	// skips, so such a corpus visits every list.
+	ivf.margin = 8 * math.Sqrt(float64(ix.dim+4)*0x1p-50*m2)
 	ix.ivf = ivf
 	return ivf
 }
@@ -414,7 +468,7 @@ func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func
 	})
 	var rows []int32
 	for _, o := range order[:probe] {
-		rows = append(rows, ivf.lists[o.row]...)
+		rows = append(rows, ivf.lists[o.row].rows...)
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i] < rows[j] })
 
@@ -428,17 +482,64 @@ func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func
 		// Bit-identical to the exact scan's arithmetic: the same stored
 		// block norm, and the dot in strictly ascending coordinate order
 		// (DotCols' per-column sum order on both its paths).
-		blk := &ix.blocks[row/scanBlockRows]
 		rv := ix.norm.Row(row)
 		dot := 0.0
 		for j, q := range qn {
 			dot += q * rv[j]
 		}
-		d2 := qq + blk.norms[row-blk.start] - 2*dot
+		d2 := qq + ix.rowNorm(row) - 2*dot
 		if d2 < 0 {
 			d2 = 0
 		}
 		cand = pushCandidate(cand, k, candidate{d2: d2, row: row})
 	}
 	return cand, len(rows)
+}
+
+// withinRadius returns the radius test of one uniqueness or novelty
+// query: whether any row skip does not exclude lies within radius of
+// index row r in normalized space, and how many rows the test visited.
+// It visits the partition lists the skip rule (ivfLayer) cannot rule
+// out, in ascending order of (bound, list), and tests their rows with
+// the exact scan's bits: the same stored norms, and DotCols' serial
+// per-column dots, whatever the block. So its answer is the exact
+// scan's; it returns at the first hit, and a visited list counts all
+// its rows, skipped ones included, as the exact scan counts whole
+// blocks. The test reuses its buffers, so a query calls it from one
+// goroutine.
+func (ix *index) withinRadius(radius float64, skip func(int) bool) func(r int) (bool, int) {
+	ivf := ix.ivfLayer()
+	r2 := radius * radius
+	limit := radius + ivf.margin
+	cdots := make([]float64, ivf.nlist)
+	order := make([]candidate, 0, ivf.nlist) // (bound, list)
+	dots := make([]float64, ivf.maxLen)
+	return func(r int) (bool, int) {
+		qn := ix.norm.Row(r)
+		qq := kernel.SquaredNorm(qn)
+		kernel.DotCols(qn, ivf.centersT, cdots, ivf.nlist)
+		order = order[:0]
+		for c := range ivf.lists {
+			l := &ivf.lists[c]
+			bound := sqrt(qq+ivf.norms[c]-2*cdots[c]) - l.radius
+			if len(l.rows) > 0 && !(bound > limit) {
+				order = append(order, candidate{d2: bound, row: c})
+			}
+		}
+		slices.SortFunc(order, func(a, b candidate) int {
+			return cmp.Or(cmp.Compare(a.d2, b.d2), cmp.Compare(a.row, b.row))
+		})
+		scanned := 0
+		for _, o := range order {
+			l := &ivf.lists[o.row]
+			kernel.DotCols(qn, l.ct, dots, len(l.rows))
+			scanned += len(l.rows)
+			for i, row := range l.rows {
+				if !skip(int(row)) && qq+l.norms[i]-2*dots[i] <= r2 {
+					return true, scanned
+				}
+			}
+		}
+		return false, scanned
+	}
 }

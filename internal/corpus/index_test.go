@@ -9,7 +9,7 @@ import (
 )
 
 // openWith builds a corpus in a temp dir from the given batches.
-func openWith(t *testing.T, batches ...Batch) *Corpus {
+func openWith(t testing.TB, batches ...Batch) *Corpus {
 	t.Helper()
 	c, err := Open(t.TempDir(), nil)
 	if err != nil {
@@ -24,7 +24,7 @@ func openWith(t *testing.T, batches ...Batch) *Corpus {
 }
 
 // testIndex exposes the in-memory index of c.
-func testIndex(t *testing.T, c *Corpus) *index {
+func testIndex(t testing.TB, c *Corpus) *index {
 	t.Helper()
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -221,12 +221,15 @@ func TestQueryErrors(t *testing.T) {
 		"negative k":        {Op: "nearest", K: -1, Vector: []float64{1, 2, 3}},
 		"huge k":            {Op: "nearest", K: maxK + 1, Vector: []float64{1, 2, 3}},
 		"negative radius":   {Op: "uniqueness", Bench: "S/b0", Radius: -1},
+		"NaN radius":        {Op: "uniqueness", Bench: "S/b0", Radius: math.NaN()},
+		"infinite radius":   {Op: "novelty", Suite: "S", Radius: math.Inf(1)},
 		"negative probe":    {Op: "nearest", Probe: -2, Vector: []float64{1, 2, 3}},
 		"ref and vector":    {Op: "nearest", Ref: "S/b0#0", Vector: []float64{1, 2, 3}},
 		"neither ref nor v": {Op: "nearest"},
 		"malformed ref":     {Op: "nearest", Ref: "S/b0"},
 		"unknown ref":       {Op: "nearest", Ref: "S/b0#999"},
 		"wrong dim":         {Op: "nearest", Vector: []float64{1}},
+		"non-finite vector": {Op: "nearest", Vector: []float64{1, math.NaN(), 3}},
 		"uniqueness no arg": {Op: "uniqueness"},
 		"novelty no arg":    {Op: "novelty"},
 		"unknown bench":     {Op: "uniqueness", Bench: "S/ghost"},
@@ -246,6 +249,21 @@ func TestQueryErrors(t *testing.T) {
 	}
 	if _, err := empty.Query(QueryRequest{Op: "nearest", Vector: []float64{1}}); err == nil {
 		t.Fatal("nearest on an empty corpus answered cleanly")
+	}
+
+	// Finite values whose column mean overflows leave no distance to
+	// compare: every query is refused instead of answered out of NaNs.
+	huge := makeBatch(0xB, "S", 2, 2, 3, 0)
+	huge.Entries[0].Vector[1], huge.Entries[1].Vector[1] = math.MaxFloat64, math.MaxFloat64
+	if _, err := openWith(t, huge).Query(QueryRequest{Op: "nearest", Ref: "S/b1#0"}); err == nil {
+		t.Fatal("nearest over an overflowing column answered cleanly")
+	}
+	narrow := Batch{Dataset: 0xC, Seed: 1, Entries: []Entry{
+		{Bench: "T/a", Suite: "T", Kind: KindInterval, Vector: []float64{0, 0}},
+		{Bench: "T/b", Suite: "T", Kind: KindInterval, Vector: []float64{1e-150, 1}},
+	}}
+	if _, err := openWith(t, narrow).Query(QueryRequest{Op: "nearest", Vector: []float64{1e160, 1}}); err == nil {
+		t.Fatal("a query vector overflowing a narrow column answered cleanly")
 	}
 }
 

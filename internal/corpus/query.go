@@ -48,7 +48,8 @@ type QueryRequest struct {
 	// K is how many neighbors "nearest" returns (0: 5).
 	K int `json:"k,omitempty"`
 	// Radius is the neighbor radius for "uniqueness"/"novelty" in the
-	// corpus-normalized space (0: 1.0).
+	// corpus-normalized space (0: 1.0; negative, NaN and infinite radii
+	// are refused).
 	Radius float64 `json:"radius,omitempty"`
 	// Probe, when positive, answers "nearest" through the IVF partition
 	// layer, scanning only the Probe nearest coarse lists instead of
@@ -66,7 +67,11 @@ type QueryResponse struct {
 	K      int     `json:"k,omitempty"`
 	Radius float64 `json:"radius,omitempty"`
 	Probe  int     `json:"probe,omitempty"`
-	// Scanned is how many index rows the answer visited.
+	// Scanned is how many index rows the answer visited: every row for
+	// an exact "nearest", the probed lists' rows for a probed one, and,
+	// summed over the query's rows, the rows of the partition lists each
+	// uniqueness or novelty row could not rule out (skipped rows of a
+	// visited list included; an answer is the same whatever it scans).
 	Scanned int `json:"scanned"`
 
 	Stats      *Stats            `json:"stats,omitempty"`
@@ -91,8 +96,8 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 	if req.K < 0 || req.K > maxK {
 		return nil, fmt.Errorf("corpus: k = %d outside [1,%d]", req.K, maxK)
 	}
-	if req.Radius < 0 {
-		return nil, fmt.Errorf("corpus: negative radius %g", req.Radius)
+	if req.Radius < 0 || math.IsNaN(req.Radius) || math.IsInf(req.Radius, 0) {
+		return nil, fmt.Errorf("corpus: radius %g is not a finite non-negative number", req.Radius)
 	}
 	if req.Probe < 0 {
 		return nil, fmt.Errorf("corpus: negative probe %d", req.Probe)
@@ -199,7 +204,12 @@ func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, skip func(in
 		if len(req.Vector) != ix.dim {
 			return nil, nil, "", fmt.Errorf("corpus: query vector has dim %d, corpus holds %d", len(req.Vector), ix.dim)
 		}
-		return ix.normalize(req.Vector), nil, "", nil
+		// A finite value can still overflow against a narrow column.
+		qn := ix.normalize(req.Vector)
+		if !finite(req.Vector) || !finite(qn) {
+			return nil, nil, "", fmt.Errorf("corpus: query vector is not finite, raw or corpus-normalized")
+		}
+		return qn, nil, "", nil
 	case req.Ref != "":
 		bench, idxStr, ok := strings.Cut(req.Ref, "#")
 		if !ok {
@@ -224,6 +234,16 @@ func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, skip func(in
 	default:
 		return nil, nil, "", fmt.Errorf(`corpus: op "nearest" needs a ref ("suite/bench#index") or a vector`)
 	}
+}
+
+// finite reports whether every value of v is a finite number.
+func finite(v []float64) bool {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // sqrt maps a clamped squared distance to its reported distance.

@@ -17,9 +17,10 @@
 # to one-shot exports — including jobs shipping inline tenant models —
 # cold and hot-warm, with backpressure and latency histograms), and the
 # phase-corpus gate (a six-suite corpus built through the CLI answers
-# queries byte-identically to the checked-in goldens, across worker
-# counts, across compaction, and over the service front door). Run
-# before every merge.
+# queries byte-identically to the checked-in goldens — uniqueness and
+# novelty in all but the rows they scanned, which may only fall — across
+# worker counts, across compaction, and over the service front door).
+# Run before every merge.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -66,8 +67,9 @@ SHARDNET_TEST_WORKERS=1 go test -race -count=1 ./internal/shardnet/
 SHARDNET_TEST_WORKERS=4 go test -race -count=1 ./internal/shardnet/
 
 echo "== fuzz decoders (${FUZZ_BUDGET:-2s} each)"
-# Every decoder that reads bytes from disk or the network: errors, never
-# panics. FUZZ_BUDGET raises the per-target budget for deeper local runs.
+# Every decoder that reads bytes from disk or the network, and the
+# corpus query front door: errors, never panics. FUZZ_BUDGET raises the
+# per-target budget for deeper local runs.
 while read -r target pkg; do
   go test -run='^$' -fuzz="^${target}\$" -fuzztime="${FUZZ_BUDGET:-2s}" "$pkg" > /dev/null
 done <<'EOF'
@@ -83,6 +85,7 @@ FuzzShardResponse ./internal/shardnet/
 FuzzDecodeModels ./internal/bench/
 FuzzCorpusSegment ./internal/corpus/
 FuzzCorpusManifest ./internal/corpus/
+FuzzCorpusQuery ./internal/corpus/
 FuzzTraceReader ./internal/trace/
 EOF
 
@@ -385,12 +388,40 @@ cmp scripts/testdata/corpus_six_nearest.json "$tmp/corpus_near.json"
 "$tmp/phasechar" -quick -quiet -models models -suites BigData \
   -clusters 40 -prominent 20 -corpus "$corpus" export > /dev/null
 "$tmp/phasechar" -corpus "$corpus" -topk 5 query nearest 'BioPerf/blast#3' > "$tmp/corpus_pre_near.json"
-"$tmp/phasechar" -corpus "$corpus" query uniqueness BioPerf/blast > "$tmp/corpus_pre_uniq.json"
-"$tmp/phasechar" -corpus "$corpus" query novelty BigData > "$tmp/corpus_pre_nov.json"
+# The radius queries on the seven-suite corpus, at the default radius
+# and at one where some rows have a foreign neighbor, against goldens
+# the exact full scan wrote: every byte but the "scanned" line must
+# match, and "scanned" (the rows the pruned path visited) may not
+# exceed the exact scan's.
+radius_queries() {
+  "$tmp/phasechar" -corpus "$corpus" query uniqueness BioPerf/blast > "$1/uniqueness.json"
+  "$tmp/phasechar" -corpus "$corpus" query novelty BigData > "$1/novelty.json"
+  "$tmp/phasechar" -corpus "$corpus" -radius 2 query uniqueness BioPerf/blast > "$1/uniqueness_r2.json"
+  "$tmp/phasechar" -corpus "$corpus" -radius 6 query novelty BigData > "$1/novelty_r6.json"
+}
+mkdir "$tmp/radius_pre" "$tmp/radius_post"
+radius_queries "$tmp/radius_pre"
+python3 - scripts/testdata "$tmp/radius_pre" <<'EOF'
+import json, os, re, sys
+
+def split(path):
+    text = open(path).read()
+    return re.sub(r'\n  "scanned": [0-9]+,\n', "\n", text, count=1), json.loads(text)["scanned"]
+
+golden_dir, got_dir = sys.argv[1:3]
+for name in ("uniqueness", "novelty", "uniqueness_r2", "novelty_r6"):
+    want, want_scanned = split(os.path.join(golden_dir, f"corpus_seven_{name}.json"))
+    got, got_scanned = split(os.path.join(got_dir, f"{name}.json"))
+    assert got == want, f"{name}: the answer differs from its golden:\n{got}\nvs\n{want}"
+    assert got_scanned <= want_scanned, f"{name}: scanned {got_scanned} rows, the exact scan {want_scanned}"
+    print(f"radius gate: {name} matches its golden, scanning {got_scanned} of {want_scanned} rows")
+EOF
 "$tmp/phasechar" -corpus "$corpus" compact
 "$tmp/phasechar" -corpus "$corpus" -topk 5 query nearest 'BioPerf/blast#3' | cmp "$tmp/corpus_pre_near.json" -
-"$tmp/phasechar" -corpus "$corpus" query uniqueness BioPerf/blast | cmp "$tmp/corpus_pre_uniq.json" -
-"$tmp/phasechar" -corpus "$corpus" query novelty BigData | cmp "$tmp/corpus_pre_nov.json" -
+radius_queries "$tmp/radius_post"
+for f in uniqueness novelty uniqueness_r2 novelty_r6; do
+  cmp "$tmp/radius_pre/$f.json" "$tmp/radius_post/$f.json"
+done
 # The run report carries the corpus counters.
 python3 - "$tmp/corpus_report.json" <<'EOF'
 import json, sys
