@@ -18,6 +18,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/bench"
@@ -700,7 +701,10 @@ func BenchmarkTraceEncode(b *testing.B) {
 // rows) visit, per row, the lists the partition's bound cannot rule
 // out. The rows are uniform noise, the hard case for that bound: no
 // list is tight. rows/s counts the rows each query visited (its
-// Scanned), not the rows of the corpus.
+// Scanned), not the rows of the corpus. parallel-uniqueness and
+// parallel-novelty issue the same queries from GOMAXPROCS goroutines at
+// once (b.RunParallel; set -cpu), so they show whether queries overlap
+// or wait for one another.
 func BenchmarkCorpusQuery(b *testing.B) {
 	const (
 		nBenches = 77
@@ -758,6 +762,31 @@ func BenchmarkCorpusQuery(b *testing.B) {
 	})
 	b.Run("novelty", func(b *testing.B) {
 		query(b, corpus.QueryRequest{Op: "novelty", Suite: "Suite0"})
+	})
+	parallel := func(b *testing.B, req corpus.QueryRequest) {
+		b.Helper()
+		if _, err := c.Query(req); err != nil { // the partition, built once
+			b.Fatal(err)
+		}
+		var rows atomic.Int64
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			for pb.Next() {
+				resp, err := c.Query(req)
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				rows.Add(int64(resp.Scanned))
+			}
+		})
+		b.ReportMetric(float64(rows.Load())/b.Elapsed().Seconds(), "rows/s")
+	}
+	b.Run("parallel-uniqueness", func(b *testing.B) {
+		parallel(b, corpus.QueryRequest{Op: "uniqueness", Bench: "Suite0/bench00"})
+	})
+	b.Run("parallel-novelty", func(b *testing.B) {
+		parallel(b, corpus.QueryRequest{Op: "novelty", Suite: "Suite0"})
 	})
 }
 

@@ -17,10 +17,16 @@
 // same fingerprint the artifact cache keys on).
 //
 // Queries are served by an in-memory index rebuilt from the segments
-// whenever the manifest changes; see index.go. One process must own
-// writes to a corpus directory at a time (the service serializes its
-// own ingests; concurrent CLI writers are not coordinated), but readers
-// are always safe: they only ever see a fully written manifest.
+// whenever the manifest changes; see index.go. A query answers for the
+// manifest it read: it re-reads the manifest and takes that manifest's
+// immutable snapshot (the manifest and its index) under the corpus
+// lock, then scans the snapshot without the lock, so queries run
+// concurrently with each other and with ingest and compaction, and one
+// in flight when a mutation lands finishes on the snapshot it took. One
+// process must own writes to a corpus directory at a time (the service
+// serializes its own ingests; concurrent CLI writers are not
+// coordinated), but readers are always safe: they only ever see a fully
+// written manifest.
 package corpus
 
 import (
@@ -135,16 +141,20 @@ type Stats struct {
 
 // Corpus is an open phase database. It is safe for concurrent use
 // within one process; see the package comment for the cross-process
-// single-writer rule.
+// single-writer rule. mu guards the manifest and the current snapshot
+// pointer, never a scan: a query holds it only to re-read the manifest
+// and take (building, if the manifest changed) the snapshot it then
+// answers from.
 type Corpus struct {
 	dir string
-	m   *obs.Metrics
 
 	mu   sync.Mutex
 	man  *manifest
-	idx  *index // built lazily, dropped whenever man changes
-	segN int    // last segment count reported to the segments counter
+	snap *snapshot // man's snapshot, built by the first query after man changed
+	segN int       // last segment count reported to the segments counter
 
+	lockWait    *obs.Histogram // every wait for mu
+	queryTime   *obs.Histogram
 	ingested    *obs.Counter
 	skipped     *obs.Counter
 	segments    *obs.Counter
@@ -174,7 +184,8 @@ func Open(dir string, m *obs.Metrics) (*Corpus, error) {
 	}
 	c := &Corpus{
 		dir:         dir,
-		m:           m,
+		lockWait:    m.Histogram("corpus.lock_wait"),
+		queryTime:   m.Histogram("corpus.query"),
 		ingested:    m.Counter("corpus.ingested"),
 		skipped:     m.Counter("corpus.ingest_skipped"),
 		segments:    m.Counter("corpus.segments"),
@@ -182,7 +193,7 @@ func Open(dir string, m *obs.Metrics) (*Corpus, error) {
 		scanRows:    m.Counter("corpus.scan_rows"),
 		compactions: m.Counter("corpus.compactions"),
 	}
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if err := c.reloadLocked(); err != nil {
 		return nil, err
@@ -194,8 +205,55 @@ func Open(dir string, m *obs.Metrics) (*Corpus, error) {
 // Dir returns the corpus directory.
 func (c *Corpus) Dir() string { return c.dir }
 
-// reloadLocked (re)reads the manifest from disk, dropping the cached
-// index when the on-disk state moved past the in-memory one. A missing
+// lock acquires c.mu, recording the wait on corpus.lock_wait.
+func (c *Corpus) lock() {
+	t0 := time.Now()
+	c.mu.Lock()
+	c.lockWait.Observe(time.Since(t0))
+}
+
+// snapshot is one manifest's query image: the manifest, and the index
+// built from its segments or the error that build returned. It never
+// changes once published, so a query reads it without c.mu; mutations
+// publish a new manifest and drop the snapshot instead.
+type snapshot struct {
+	man *manifest
+	ix  *index
+	err error
+}
+
+// snapshotLocked re-reads the manifest and returns its snapshot,
+// building the index when the manifest changed since the last build.
+// The segment reads stay under c.mu, because an in-process Compact
+// unlinks the segments it replaced while holding it. A failed build is
+// kept like a successful one, so a corpus that cannot be indexed (a
+// corrupt segment, an overflowing column) answers each query with the
+// error instead of re-reading every segment; only a failure to read a
+// file is not kept, since it may be transient (a descriptor limit,
+// say) and says nothing about the manifest. Caller holds c.mu.
+func (c *Corpus) snapshotLocked() (*snapshot, error) {
+	if err := c.reloadLocked(); err != nil {
+		return nil, err
+	}
+	if c.snap != nil {
+		return c.snap, c.snap.err
+	}
+	s := &snapshot{man: c.man}
+	segs, err := c.loadSegmentsLocked()
+	var pathErr *fs.PathError
+	if errors.As(err, &pathErr) {
+		return nil, err
+	}
+	if err == nil {
+		s.ix, err = buildIndex(segs, int(c.man.dim))
+	}
+	s.err = err
+	c.snap = s
+	return s, err
+}
+
+// reloadLocked (re)reads the manifest from disk, dropping the snapshot
+// when the on-disk state moved past the in-memory one. A missing
 // manifest is an empty corpus.
 func (c *Corpus) reloadLocked() error {
 	buf, err := os.ReadFile(filepath.Join(c.dir, manifestName))
@@ -213,7 +271,7 @@ func (c *Corpus) reloadLocked() error {
 		return fmt.Errorf("corpus: %s: %w", manifestName, err)
 	}
 	if c.man == nil || c.man.nextFile != man.nextFile || c.man.nextSeq != man.nextSeq {
-		c.idx = nil
+		c.snap = nil
 	}
 	c.man = man
 	c.segments.Add(int64(len(man.segments) - c.segN))
@@ -332,7 +390,7 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 		}
 	}
 
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	// Re-read the manifest first: another process may have advanced the
 	// corpus since we loaded it, and appending from a stale root would
@@ -368,7 +426,7 @@ func (c *Corpus) IngestBatch(b Batch) (IngestInfo, error) {
 	if err := c.writeFileAtomic(manifestName, encodeManifest(man)); err != nil {
 		return IngestInfo{}, err
 	}
-	c.man, c.idx = man, nil
+	c.man, c.snap = man, nil
 	c.ingested.Add(int64(len(b.Entries)))
 	c.segments.Add(int64(len(man.segments) - c.segN))
 	c.segN = len(man.segments)
@@ -434,7 +492,7 @@ func (c *Corpus) loadSegmentsLocked() ([]*segment, error) {
 // layout collapses. The replaced segments are unlinked afterwards; if
 // that is interrupted they are unreferenced and swept by a later Open.
 func (c *Corpus) Compact() (CompactInfo, error) {
-	c.mu.Lock()
+	c.lock()
 	defer c.mu.Unlock()
 	if err := c.reloadLocked(); err != nil {
 		return CompactInfo{}, err
@@ -473,7 +531,7 @@ func (c *Corpus) Compact() (CompactInfo, error) {
 		return CompactInfo{}, err
 	}
 	old := c.man.segments
-	c.man, c.idx = man, nil
+	c.man, c.snap = man, nil
 	c.compactions.Inc()
 	c.segments.Add(int64(len(man.segments) - c.segN))
 	c.segN = len(man.segments)
@@ -543,14 +601,32 @@ func mergeSegments(segs []*segment) *segment {
 
 // Stats summarizes the corpus as of the manifest on disk.
 func (c *Corpus) Stats() (Stats, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		return Stats{}, err
-	}
-	ix, err := c.indexLocked()
+	c.lock()
+	s, err := c.snapshotLocked()
+	c.mu.Unlock()
 	if err != nil {
 		return Stats{}, err
 	}
-	return c.statsLocked(ix), nil
+	return s.stats(), nil
+}
+
+// stats summarizes the snapshot.
+func (s *snapshot) stats() Stats {
+	st := Stats{
+		Records:  len(s.ix.entries),
+		Benches:  len(s.ix.byBench),
+		Suites:   len(s.ix.bySuite),
+		Segments: len(s.man.segments),
+		Ingests:  len(s.man.ledger),
+		Dim:      int(s.man.dim),
+		NextSeq:  s.man.nextSeq,
+	}
+	for i := range s.ix.entries {
+		if s.ix.entries[i].kind == KindCentroid {
+			st.Centroids++
+		} else {
+			st.Intervals++
+		}
+	}
+	return st
 }

@@ -359,6 +359,25 @@ func TestCounters(t *testing.T) {
 	if got := m.Counter("corpus.segments").Value(); got != 1 {
 		t.Fatalf("corpus.segments after compact = %d, want 1", got)
 	}
+	// A request refused before the lock, and an ingest refused before
+	// it, wait for nothing.
+	if _, err := c.Query(QueryRequest{Op: "nearest", K: -1}); err == nil {
+		t.Fatal("k = -1 answered")
+	}
+	if _, err := c.IngestBatch(Batch{Dataset: 0xC}); err == nil {
+		t.Fatal("an empty batch ingested")
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	// One lock wait per acquisition: Open, two ingests, a query, the
+	// compaction and Stats.
+	if got := m.Histogram("corpus.lock_wait").Count(); got != 6 {
+		t.Fatalf("corpus.lock_wait has %d observations, want 6", got)
+	}
+	if got := m.Histogram("corpus.query").Count(); got != 1 {
+		t.Fatalf("corpus.query has %d observations, want 1", got)
+	}
 }
 
 func TestOpenRejectsEmptyDir(t *testing.T) {

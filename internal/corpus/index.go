@@ -4,9 +4,11 @@ package corpus
 // order, normalized per-column over the whole corpus and laid out as
 // transposed blocks for kernel.DotCols — the same column-scan kernel
 // (and the same determinism contract: serial per-column sums, ties to
-// the lowest index) the k-means assignment runs on. The exact scan
-// visits every row for "nearest". A coarse IVF partition, built lazily
-// under a deterministic k-means quantizer, serves the rest: probed
+// the lowest index) the k-means assignment runs on. An index is
+// immutable once built, so any number of queries read it at once. The
+// exact scan visits every row for "nearest". A coarse IVF partition,
+// built once per index under a deterministic k-means quantizer by the
+// first query that needs it, serves the rest: probed
 // "nearest" (Probe > 0) visits only the nearest lists, and each
 // uniqueness or novelty row visits only the lists a triangle-inequality
 // bound cannot rule out, testing their rows with the exact scan's own
@@ -21,6 +23,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/kernel"
@@ -49,7 +52,8 @@ type scanBlock struct {
 	norms    []float64 // squared norms of the n normalized rows
 }
 
-// index is the queryable in-memory corpus image.
+// index is the queryable in-memory corpus image. Nothing in it changes
+// after buildIndex returns except ivf, which ivfOnce guards.
 type index struct {
 	dim     int
 	entries []idxEntry
@@ -58,26 +62,18 @@ type index struct {
 	blocks  []scanBlock
 	byBench map[string][]int // interval rows per benchmark ID
 	bySuite map[string][]int // interval rows per suite
-	ivf     *ivfIndex        // built on first probed or radius query
+	// benchKey and suiteKey number every row's benchmark and suite
+	// string (a centroid's are normally ""), so queries exclude rows by
+	// comparing integers: two rows share a key exactly when they share
+	// the string.
+	benchKey, suiteKey []int32
+
+	ivfOnce sync.Once
+	ivf     *ivfIndex // built on first probed or radius query
 }
 
-// indexLocked returns the index for the current manifest, building it
-// if the manifest changed since the last build. Caller holds c.mu.
-func (c *Corpus) indexLocked() (*index, error) {
-	if c.idx != nil {
-		return c.idx, nil
-	}
-	segs, err := c.loadSegmentsLocked()
-	if err != nil {
-		return nil, err
-	}
-	ix, err := buildIndex(segs, int(c.man.dim))
-	if err != nil {
-		return nil, err
-	}
-	c.idx = ix
-	return ix, nil
-}
+// noKey excludes no row from a nearest query: keys are non-negative.
+const noKey int32 = -1
 
 // buildIndex assembles the segments into one index. Rows land in
 // global sequence order whatever the segment layout, which is what
@@ -92,10 +88,12 @@ func buildIndex(segs []*segment, dim int) (*index, error) {
 		}
 	}
 	ix := &index{
-		dim:     dim,
-		entries: make([]idxEntry, 0, total),
-		byBench: make(map[string][]int),
-		bySuite: make(map[string][]int),
+		dim:      dim,
+		entries:  make([]idxEntry, 0, total),
+		byBench:  make(map[string][]int),
+		bySuite:  make(map[string][]int),
+		benchKey: make([]int32, total),
+		suiteKey: make([]int32, total),
 	}
 	type row struct {
 		e   idxEntry
@@ -118,12 +116,23 @@ func buildIndex(segs []*segment, dim int) (*index, error) {
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].e.seq < rows[j].e.seq })
 
 	raw := stats.NewMatrix(total, dim)
+	benchKeys, suiteKeys := make(map[string]int32), make(map[string]int32)
+	key := func(keys map[string]int32, s string) int32 {
+		k, ok := keys[s]
+		if !ok {
+			k = int32(len(keys))
+			keys[s] = k
+		}
+		return k
+	}
 	for i := range rows {
-		ix.entries = append(ix.entries, rows[i].e)
+		e := &rows[i].e
+		ix.entries = append(ix.entries, *e)
 		copy(raw.Row(i), rows[i].vec)
-		if rows[i].e.kind == KindInterval {
-			ix.byBench[rows[i].e.bench] = append(ix.byBench[rows[i].e.bench], i)
-			ix.bySuite[rows[i].e.suite] = append(ix.bySuite[rows[i].e.suite], i)
+		ix.benchKey[i], ix.suiteKey[i] = key(benchKeys, e.bench), key(suiteKeys, e.suite)
+		if e.kind == KindInterval {
+			ix.byBench[e.bench] = append(ix.byBench[e.bench], i)
+			ix.bySuite[e.suite] = append(ix.bySuite[e.suite], i)
 		}
 	}
 	if total == 0 {
@@ -219,11 +228,12 @@ func pushCandidate(cand []candidate, k int, c candidate) []candidate {
 }
 
 // nearest returns the k nearest rows to the normalized query qn,
-// skipping rows for which skip returns true. It reports how many rows
-// it scanned. probe > 0 routes through the IVF layer.
-func (ix *index) nearest(qn []float64, k, probe int, skip func(int) bool) ([]candidate, int) {
+// skipping every row whose benchmark key is exclude (noKey skips none).
+// It reports how many rows it scanned. probe > 0 routes through the IVF
+// layer.
+func (ix *index) nearest(qn []float64, k, probe int, exclude int32) ([]candidate, int) {
 	if probe > 0 {
-		return ix.nearestIVF(ix.ivfLayer(), qn, k, probe, skip)
+		return ix.nearestIVF(ix.ivfLayer(), qn, k, probe, exclude)
 	}
 	qq := kernel.SquaredNorm(qn)
 	var cand []candidate
@@ -234,7 +244,7 @@ func (ix *index) nearest(qn []float64, k, probe int, skip func(int) bool) ([]can
 		scanned += blk.n
 		for i := 0; i < blk.n; i++ {
 			row := blk.start + i
-			if skip != nil && skip(row) {
+			if ix.benchKey[row] == exclude {
 				continue
 			}
 			d2 := qq + blk.norms[i] - 2*dots[i]
@@ -273,13 +283,11 @@ type NoveltyResult struct {
 func (ix *index) uniqueness(bench string, radius float64) (UniquenessResult, int, error) {
 	rows := ix.byBench[bench]
 	if len(rows) == 0 {
-		return UniquenessResult{}, 0, fmt.Errorf("corpus: benchmark %q has no intervals in the corpus", bench)
+		return UniquenessResult{}, 0, badQueryf("corpus: benchmark %q has no intervals in the corpus", bench)
 	}
 	res := UniquenessResult{Bench: bench, Rows: len(rows)}
 	scanned := 0
-	within := ix.withinRadius(radius, func(i int) bool {
-		return ix.entries[i].kind != KindInterval || ix.entries[i].bench == bench
-	})
+	within := ix.withinRadius(radius, ix.benchKey, ix.benchKey[rows[0]])
 	for _, r := range rows {
 		hit, n := within(r)
 		scanned += n
@@ -299,13 +307,11 @@ func (ix *index) uniqueness(bench string, radius float64) (UniquenessResult, int
 func (ix *index) novelty(suite string, radius float64) (NoveltyResult, int, error) {
 	rows := ix.bySuite[suite]
 	if len(rows) == 0 {
-		return NoveltyResult{}, 0, fmt.Errorf("corpus: suite %q has no intervals in the corpus", suite)
+		return NoveltyResult{}, 0, badQueryf("corpus: suite %q has no intervals in the corpus", suite)
 	}
 	res := NoveltyResult{Suite: suite, Rows: len(rows)}
 	scanned := 0
-	within := ix.withinRadius(radius, func(i int) bool {
-		return ix.entries[i].kind != KindInterval || ix.entries[i].suite == suite
-	})
+	within := ix.withinRadius(radius, ix.suiteKey, ix.suiteKey[rows[0]])
 	perBench := make(map[string]*UniquenessResult)
 	var order []string
 	for _, r := range rows {
@@ -357,14 +363,19 @@ type ivfList struct {
 	radius float64   // the largest member distance from the center
 }
 
-// ivfLayer lazily builds the coarse partition. A corpus too small for
-// the quantizer (fewer than two rows per would-be list) gets one list
-// of every row, centered at the origin (the normalized corpus's mean),
-// through which probed and radius queries visit every row.
+// ivfLayer returns the coarse partition, building it on first use. The
+// first query that needs it builds it while any others that do wait;
+// queries that do not never wait.
 func (ix *index) ivfLayer() *ivfIndex {
-	if ix.ivf != nil {
-		return ix.ivf
-	}
+	ix.ivfOnce.Do(func() { ix.ivf = ix.buildIVF() })
+	return ix.ivf
+}
+
+// buildIVF builds the coarse partition. A corpus too small for the
+// quantizer (fewer than two rows per would-be list) gets one list of
+// every row, centered at the origin (the normalized corpus's mean),
+// through which probed and radius queries visit every row.
+func (ix *index) buildIVF() *ivfIndex {
 	n := len(ix.entries)
 	nlist := int(math.Sqrt(float64(n)))
 	if nlist > ivfNlistCap {
@@ -446,14 +457,13 @@ func (ix *index) ivfLayer() *ivfIndex {
 	// over. A NaN norm makes the margin NaN, and a NaN comparison never
 	// skips, so such a corpus visits every list.
 	ivf.margin = 8 * math.Sqrt(float64(ix.dim+4)*0x1p-50*m2)
-	ix.ivf = ivf
 	return ivf
 }
 
 // nearestIVF scans only the probe nearest partitions. Candidate rows
 // are visited in ascending row order so ties resolve exactly as the
 // exact scan does; with probe >= nlist the answer is identical to it.
-func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func(int) bool) ([]candidate, int) {
+func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, exclude int32) ([]candidate, int) {
 	if probe > ivf.nlist {
 		probe = ivf.nlist
 	}
@@ -476,7 +486,7 @@ func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func
 	var cand []candidate
 	for _, r := range rows {
 		row := int(r)
-		if skip != nil && skip(row) {
+		if ix.benchKey[row] == exclude {
 			continue
 		}
 		// Bit-identical to the exact scan's arithmetic: the same stored
@@ -497,17 +507,17 @@ func (ix *index) nearestIVF(ivf *ivfIndex, qn []float64, k, probe int, skip func
 }
 
 // withinRadius returns the radius test of one uniqueness or novelty
-// query: whether any row skip does not exclude lies within radius of
-// index row r in normalized space, and how many rows the test visited.
-// It visits the partition lists the skip rule (ivfLayer) cannot rule
-// out, in ascending order of (bound, list), and tests their rows with
-// the exact scan's bits: the same stored norms, and DotCols' serial
-// per-column dots, whatever the block. So its answer is the exact
-// scan's; it returns at the first hit, and a visited list counts all
-// its rows, skipped ones included, as the exact scan counts whole
-// blocks. The test reuses its buffers, so a query calls it from one
-// goroutine.
-func (ix *index) withinRadius(radius float64, skip func(int) bool) func(r int) (bool, int) {
+// query: whether any interval row whose key in keys (benchKey or
+// suiteKey) is not key lies within radius of index row r in normalized
+// space, and how many rows the test visited. It visits the partition
+// lists the skip rule (buildIVF) cannot rule out, in ascending order of
+// (bound, list), and tests their rows with the exact scan's bits: the
+// same stored norms, and DotCols' serial per-column dots, whatever the
+// block. So its answer is the exact scan's; it returns at the first
+// hit, and a visited list counts all its rows, excluded ones included,
+// as the exact scan counts whole blocks. The test reuses its buffers,
+// so a query calls it from one goroutine.
+func (ix *index) withinRadius(radius float64, keys []int32, key int32) func(r int) (bool, int) {
 	ivf := ix.ivfLayer()
 	r2 := radius * radius
 	limit := radius + ivf.margin
@@ -535,7 +545,10 @@ func (ix *index) withinRadius(radius float64, skip func(int) bool) func(r int) (
 			kernel.DotCols(qn, l.ct, dots, len(l.rows))
 			scanned += len(l.rows)
 			for i, row := range l.rows {
-				if !skip(int(row)) && qq+l.norms[i]-2*dots[i] <= r2 {
+				// Most rows lie beyond the radius, so the distance
+				// test comes first; the exclusion only sees rows
+				// within it.
+				if qq+l.norms[i]-2*dots[i] <= r2 && keys[row] != key && ix.entries[row].kind == KindInterval {
 					return true, scanned
 				}
 			}

@@ -2,6 +2,7 @@ package corpus
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -26,16 +27,13 @@ func openWith(t testing.TB, batches ...Batch) *Corpus {
 // testIndex exposes the in-memory index of c.
 func testIndex(t testing.TB, c *Corpus) *index {
 	t.Helper()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		t.Fatal(err)
-	}
-	ix, err := c.indexLocked()
+	c.lock()
+	s, err := c.snapshotLocked()
+	c.mu.Unlock()
 	if err != nil {
 		t.Fatal(err)
 	}
-	return ix
+	return s.ix
 }
 
 // naiveNearest is the obviously-correct reference: full scan with
@@ -89,24 +87,25 @@ func randomBatch(dataset uint64, n, dim int, g *lcg) Batch {
 
 // TestNearestMatchesNaiveScan: the blocked kernel scan returns exactly
 // the rows (and order) of the brute-force reference, across block
-// boundaries and skip filters.
+// boundaries, with and without a benchmark excluded.
 func TestNearestMatchesNaiveScan(t *testing.T) {
 	g := lcg(7)
 	// 600 rows spans 3 scan blocks of 256.
 	c := openWith(t, randomBatch(0xA, 600, 9, &g))
 	ix := testIndex(t, c)
-	skips := map[string]func(int) bool{
-		"none":    nil,
-		"by-rows": func(i int) bool { return i%3 == 0 },
-	}
-	for name, skip := range skips {
+	for name, exclude := range map[string]string{"none": "", "by-bench": "S/b3"} {
+		key, skip := noKey, func(int) bool { return false }
+		if exclude != "" {
+			key = ix.benchKey[ix.byBench[exclude][0]]
+			skip = func(i int) bool { return ix.entries[i].bench == exclude }
+		}
 		for q := 0; q < 5; q++ {
 			qn := make([]float64, 9)
 			for j := range qn {
 				qn[j] = g.next()*4 - 2
 			}
 			for _, k := range []int{1, 5, 17} {
-				got, scanned := ix.nearest(qn, k, 0, skip)
+				got, scanned := ix.nearest(qn, k, 0, key)
 				if scanned != 600 {
 					t.Fatalf("exact scan visited %d rows, want 600", scanned)
 				}
@@ -143,7 +142,7 @@ func TestNearestTieBreak(t *testing.T) {
 	})
 	c := openWith(t, b)
 	ix := testIndex(t, c)
-	got, _ := ix.nearest(ix.normalize([]float64{1, 2, 3}), 4, 0, nil)
+	got, _ := ix.nearest(ix.normalize([]float64{1, 2, 3}), 4, 0, noKey)
 	for i, cd := range got {
 		if cd.row != i {
 			t.Fatalf("tie hit %d is row %d, want %d (oldest-first)", i, cd.row, i)
@@ -235,8 +234,8 @@ func TestQueryErrors(t *testing.T) {
 		"unknown bench":     {Op: "uniqueness", Bench: "S/ghost"},
 		"unknown suite":     {Op: "novelty", Suite: "Ghost"},
 	} {
-		if _, err := c.Query(req); err == nil {
-			t.Fatalf("%s answered cleanly", name)
+		if _, err := c.Query(req); !errors.Is(err, ErrBadQuery) {
+			t.Fatalf("%s: err = %v, want a bad-query error", name, err)
 		}
 	}
 
@@ -247,23 +246,24 @@ func TestQueryErrors(t *testing.T) {
 	if _, err := empty.Query(QueryRequest{Op: "stats"}); err != nil {
 		t.Fatalf("stats on an empty corpus: %v", err)
 	}
-	if _, err := empty.Query(QueryRequest{Op: "nearest", Vector: []float64{1}}); err == nil {
-		t.Fatal("nearest on an empty corpus answered cleanly")
+	if _, err := empty.Query(QueryRequest{Op: "nearest", Vector: []float64{1}}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("nearest on an empty corpus: err = %v, want a bad-query error", err)
 	}
 
 	// Finite values whose column mean overflows leave no distance to
-	// compare: every query is refused instead of answered out of NaNs.
+	// compare: every query is refused instead of answered out of NaNs,
+	// and the fault is the corpus's, not the request's.
 	huge := makeBatch(0xB, "S", 2, 2, 3, 0)
 	huge.Entries[0].Vector[1], huge.Entries[1].Vector[1] = math.MaxFloat64, math.MaxFloat64
-	if _, err := openWith(t, huge).Query(QueryRequest{Op: "nearest", Ref: "S/b1#0"}); err == nil {
-		t.Fatal("nearest over an overflowing column answered cleanly")
+	if _, err := openWith(t, huge).Query(QueryRequest{Op: "nearest", Ref: "S/b1#0"}); err == nil || errors.Is(err, ErrBadQuery) {
+		t.Fatalf("nearest over an overflowing column: err = %v, want a corpus error", err)
 	}
 	narrow := Batch{Dataset: 0xC, Seed: 1, Entries: []Entry{
 		{Bench: "T/a", Suite: "T", Kind: KindInterval, Vector: []float64{0, 0}},
 		{Bench: "T/b", Suite: "T", Kind: KindInterval, Vector: []float64{1e-150, 1}},
 	}}
-	if _, err := openWith(t, narrow).Query(QueryRequest{Op: "nearest", Vector: []float64{1e160, 1}}); err == nil {
-		t.Fatal("a query vector overflowing a narrow column answered cleanly")
+	if _, err := openWith(t, narrow).Query(QueryRequest{Op: "nearest", Vector: []float64{1e160, 1}}); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("a query vector overflowing a narrow column: err = %v, want a bad-query error", err)
 	}
 }
 

@@ -9,6 +9,7 @@ package corpus
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -80,11 +81,31 @@ type QueryResponse struct {
 	Novelty    *NoveltyResult    `json:"novelty,omitempty"`
 }
 
-// Query answers one request against the corpus as currently on disk
-// (the manifest is re-read, so ingests by other processes are visible).
-// Request errors — unknown op, missing argument, a benchmark the corpus
-// has never seen — are the caller's to map (the service turns them into
-// 400s); they never panic.
+// ErrBadQuery marks a request error: a bad op, argument, k, radius,
+// probe, ref or vector, a benchmark or suite the corpus does not hold,
+// or an empty corpus. Every other Query error is the corpus's own
+// failure to answer (a manifest or segment it cannot read or decode, a
+// column whose normalization overflows). errors.Is tells them apart;
+// the service answers the first kind with 400 and the second with 500.
+var ErrBadQuery = errors.New("corpus: bad query")
+
+// badQuery is a request error: its message, matching ErrBadQuery.
+type badQuery string
+
+func (e badQuery) Error() string { return string(e) }
+func (e badQuery) Unwrap() error { return ErrBadQuery }
+
+// badQueryf formats a request error.
+func badQueryf(format string, args ...any) error {
+	return badQuery(fmt.Sprintf(format, args...))
+}
+
+// Query answers one request against the corpus as currently on disk:
+// the manifest is re-read, so ingests by other processes are visible to
+// the next query. The answer is for the manifest the query read, even
+// when an ingest or compaction lands while it scans: Query holds the
+// corpus lock only to re-read the manifest and take its snapshot. A
+// request error matches ErrBadQuery; no request panics.
 func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 	t0 := time.Now()
 	if req.K == 0 {
@@ -94,41 +115,39 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 		req.Radius = DefaultRadius
 	}
 	if req.K < 0 || req.K > maxK {
-		return nil, fmt.Errorf("corpus: k = %d outside [1,%d]", req.K, maxK)
+		return nil, badQueryf("corpus: k = %d outside [1,%d]", req.K, maxK)
 	}
 	if req.Radius < 0 || math.IsNaN(req.Radius) || math.IsInf(req.Radius, 0) {
-		return nil, fmt.Errorf("corpus: radius %g is not a finite non-negative number", req.Radius)
+		return nil, badQueryf("corpus: radius %g is not a finite non-negative number", req.Radius)
 	}
 	if req.Probe < 0 {
-		return nil, fmt.Errorf("corpus: negative probe %d", req.Probe)
+		return nil, badQueryf("corpus: negative probe %d", req.Probe)
 	}
 
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if err := c.reloadLocked(); err != nil {
-		return nil, err
-	}
-	ix, err := c.indexLocked()
+	c.lock()
+	snap, err := c.snapshotLocked()
+	c.mu.Unlock()
 	if err != nil {
 		return nil, err
 	}
+	ix := snap.ix
 	if req.Op != "stats" && len(ix.entries) == 0 {
-		return nil, fmt.Errorf("corpus: empty corpus at %s (ingest a run first: phasechar -corpus %s ... export)", c.dir, c.dir)
+		return nil, badQueryf("corpus: empty corpus at %s (ingest a run first: phasechar -corpus %s ... export)", c.dir, c.dir)
 	}
 
 	resp := &QueryResponse{Op: req.Op}
 	switch req.Op {
 	case "stats":
-		st := c.statsLocked(ix)
+		st := snap.stats()
 		resp.Stats = &st
 
 	case "nearest":
-		qn, skip, ref, err := ix.nearestQueryPoint(req)
+		qn, exclude, ref, err := ix.nearestQueryPoint(req)
 		if err != nil {
 			return nil, err
 		}
 		resp.Ref, resp.K, resp.Probe = ref, req.K, req.Probe
-		cand, scanned := ix.nearest(qn, req.K, req.Probe, skip)
+		cand, scanned := ix.nearest(qn, req.K, req.Probe, exclude)
 		resp.Scanned = scanned
 		resp.Neighbors = make([]Neighbor, len(cand))
 		for i, cd := range cand {
@@ -142,7 +161,7 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 
 	case "uniqueness":
 		if req.Bench == "" {
-			return nil, fmt.Errorf(`corpus: op "uniqueness" needs a bench ("suite/name")`)
+			return nil, badQueryf(`corpus: op "uniqueness" needs a bench ("suite/name")`)
 		}
 		resp.Radius = req.Radius
 		u, scanned, err := ix.uniqueness(req.Bench, req.Radius)
@@ -153,7 +172,7 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 
 	case "novelty":
 		if req.Suite == "" {
-			return nil, fmt.Errorf(`corpus: op "novelty" needs a suite`)
+			return nil, badQueryf(`corpus: op "novelty" needs a suite`)
 		}
 		resp.Radius = req.Radius
 		nv, scanned, err := ix.novelty(req.Suite, req.Radius)
@@ -163,61 +182,41 @@ func (c *Corpus) Query(req QueryRequest) (*QueryResponse, error) {
 		resp.Scanned, resp.Novelty = scanned, &nv
 
 	default:
-		return nil, fmt.Errorf("corpus: unknown op %q (want stats, nearest, uniqueness or novelty)", req.Op)
+		return nil, badQueryf("corpus: unknown op %q (want stats, nearest, uniqueness or novelty)", req.Op)
 	}
 
 	c.queries.Inc()
 	c.scanRows.Add(int64(resp.Scanned))
-	c.m.ObserveSince("corpus.query", t0)
+	c.queryTime.Observe(time.Since(t0))
 	return resp, nil
 }
 
-// statsLocked is Stats without re-taking the lock or reloading.
-func (c *Corpus) statsLocked(ix *index) Stats {
-	st := Stats{
-		Records:  len(ix.entries),
-		Benches:  len(ix.byBench),
-		Suites:   len(ix.bySuite),
-		Segments: len(c.man.segments),
-		Ingests:  len(c.man.ledger),
-		Dim:      int(c.man.dim),
-		NextSeq:  c.man.nextSeq,
-	}
-	for i := range ix.entries {
-		if ix.entries[i].kind == KindCentroid {
-			st.Centroids++
-		} else {
-			st.Intervals++
-		}
-	}
-	return st
-}
-
 // nearestQueryPoint resolves the "nearest" query point: an inline raw
-// vector, or a Ref naming a corpus interval (whose benchmark is then
-// excluded from the answer).
-func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, skip func(int) bool, ref string, err error) {
+// vector, or a Ref naming a corpus interval, in which case exclude is
+// its benchmark's key (the answer leaves that benchmark out); else
+// exclude is noKey.
+func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, exclude int32, ref string, err error) {
 	switch {
 	case req.Ref != "" && len(req.Vector) > 0:
-		return nil, nil, "", fmt.Errorf(`corpus: op "nearest" takes a ref or a vector, not both`)
+		return nil, noKey, "", badQueryf(`corpus: op "nearest" takes a ref or a vector, not both`)
 	case len(req.Vector) > 0:
 		if len(req.Vector) != ix.dim {
-			return nil, nil, "", fmt.Errorf("corpus: query vector has dim %d, corpus holds %d", len(req.Vector), ix.dim)
+			return nil, noKey, "", badQueryf("corpus: query vector has dim %d, corpus holds %d", len(req.Vector), ix.dim)
 		}
 		// A finite value can still overflow against a narrow column.
 		qn := ix.normalize(req.Vector)
 		if !finite(req.Vector) || !finite(qn) {
-			return nil, nil, "", fmt.Errorf("corpus: query vector is not finite, raw or corpus-normalized")
+			return nil, noKey, "", badQueryf("corpus: query vector is not finite, raw or corpus-normalized")
 		}
-		return qn, nil, "", nil
+		return qn, noKey, "", nil
 	case req.Ref != "":
 		bench, idxStr, ok := strings.Cut(req.Ref, "#")
 		if !ok {
-			return nil, nil, "", fmt.Errorf(`corpus: ref %q is not "suite/bench#index"`, req.Ref)
+			return nil, noKey, "", badQueryf(`corpus: ref %q is not "suite/bench#index"`, req.Ref)
 		}
 		n, err := strconv.Atoi(idxStr)
 		if err != nil {
-			return nil, nil, "", fmt.Errorf(`corpus: ref %q is not "suite/bench#index"`, req.Ref)
+			return nil, noKey, "", badQueryf(`corpus: ref %q is not "suite/bench#index"`, req.Ref)
 		}
 		row := -1
 		for _, r := range ix.byBench[bench] {
@@ -227,12 +226,11 @@ func (ix *index) nearestQueryPoint(req QueryRequest) (qn []float64, skip func(in
 			}
 		}
 		if row < 0 {
-			return nil, nil, "", fmt.Errorf("corpus: no interval %q in the corpus", req.Ref)
+			return nil, noKey, "", badQueryf("corpus: no interval %q in the corpus", req.Ref)
 		}
-		skip = func(i int) bool { return ix.entries[i].bench == bench }
-		return ix.norm.Row(row), skip, req.Ref, nil
+		return ix.norm.Row(row), ix.benchKey[row], req.Ref, nil
 	default:
-		return nil, nil, "", fmt.Errorf(`corpus: op "nearest" needs a ref ("suite/bench#index") or a vector`)
+		return nil, noKey, "", badQueryf(`corpus: op "nearest" needs a ref ("suite/bench#index") or a vector`)
 	}
 }
 

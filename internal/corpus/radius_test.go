@@ -34,11 +34,14 @@ func scanWithin(ix *index, r int, radius float64, skip func(int) bool) bool {
 	return false
 }
 
-// radiusGroup is one uniqueness or novelty query: its rows and the
-// rows it excludes as neighbors.
+// radiusGroup is one uniqueness or novelty query: its rows, and the
+// rows it excludes as neighbors, as the string test skip the exact scan
+// takes and as the keys and key withinRadius takes.
 type radiusGroup struct {
 	rows []int
 	skip func(int) bool
+	keys []int32
+	key  int32
 }
 
 // radiusGroups maps each uniqueness benchmark and novelty suite of ix
@@ -48,12 +51,12 @@ func radiusGroups(ix *index) map[string]radiusGroup {
 	for bench, rows := range ix.byBench {
 		out["uniqueness "+bench] = radiusGroup{rows, func(i int) bool {
 			return ix.entries[i].kind != KindInterval || ix.entries[i].bench == bench
-		}}
+		}, ix.benchKey, ix.benchKey[rows[0]]}
 	}
 	for suite, rows := range ix.bySuite {
 		out["novelty "+suite] = radiusGroup{rows, func(i int) bool {
 			return ix.entries[i].kind != KindInterval || ix.entries[i].suite == suite
-		}}
+		}, ix.suiteKey, ix.suiteKey[rows[0]]}
 	}
 	return out
 }
@@ -70,7 +73,7 @@ func checkRadiusDecisions(t *testing.T, name string, c *Corpus) (visited, full i
 	ix := testIndex(t, c)
 	for _, radius := range testRadii {
 		for q, g := range radiusGroups(ix) {
-			within := ix.withinRadius(radius, g.skip)
+			within := ix.withinRadius(radius, g.keys, g.key)
 			for _, r := range g.rows {
 				hit, n := within(r)
 				if want := scanWithin(ix, r, radius, g.skip); hit != want {

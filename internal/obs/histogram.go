@@ -176,12 +176,3 @@ func (m *Metrics) Histogram(name string) *Histogram {
 	}
 	return h
 }
-
-// ObserveSince records time.Since(t0) on the named histogram — the
-// per-request convenience for HTTP handlers. No-op on nil.
-func (m *Metrics) ObserveSince(name string, t0 time.Time) {
-	if m == nil {
-		return
-	}
-	m.Histogram(name).Observe(time.Since(t0))
-}

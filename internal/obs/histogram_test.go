@@ -77,7 +77,7 @@ func TestHistogramConcurrent(t *testing.T) {
 func TestHistogramInReport(t *testing.T) {
 	m := New()
 	m.Histogram("http.jobs").Observe(10 * time.Millisecond)
-	m.ObserveSince("http.jobs", time.Now().Add(-20*time.Millisecond))
+	m.Histogram("http.jobs").Observe(20 * time.Millisecond)
 	r := m.Snapshot()
 	hs, ok := r.Histograms["http.jobs"]
 	if !ok {

@@ -9,6 +9,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 
@@ -27,7 +28,9 @@ type corpusError struct {
 // handleCorpusQuery answers one corpus query. A service started without
 // a corpus directory has no corpus resource at all — 404 with a clear
 // body, not a 500 — and a malformed or unanswerable request is the
-// client's error: 400 with the reason.
+// client's error: 400 with the reason. A corpus that cannot answer (a
+// segment it cannot read or decode, say) is the service's fault: 500,
+// with the same JSON error body.
 func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 	if s.corpus == nil {
 		writeJSON(w, http.StatusNotFound, corpusError{
@@ -51,7 +54,11 @@ func (s *Server) handleCorpusQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	resp, err := s.corpus.Query(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, corpusError{Error: err.Error()})
+		status := http.StatusInternalServerError
+		if errors.Is(err, corpus.ErrBadQuery) {
+			status = http.StatusBadRequest
+		}
+		writeJSON(w, status, corpusError{Error: err.Error()})
 		return
 	}
 	writeJSON(w, http.StatusOK, resp)

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
@@ -62,7 +64,8 @@ func TestCorpusQueryDisabled(t *testing.T) {
 
 // TestCorpusQueryBadRequests: malformed bodies, unknown ops and
 // oversized payloads are the client's fault — 400/413 with a JSON
-// reason, never a 500.
+// reason, never a 500 — while a corpus that cannot answer (a flipped
+// byte in a segment) is the service's: 500 with the same JSON body.
 func TestCorpusQueryBadRequests(t *testing.T) {
 	dir := t.TempDir()
 	seedCorpus(t, dir)
@@ -70,8 +73,26 @@ func TestCorpusQueryBadRequests(t *testing.T) {
 		CorpusDir: dir,
 		execute:   func(JobSpec) ([]byte, error) { return []byte("{}"), nil },
 	})
+	corruptDir := t.TempDir()
+	seedCorpus(t, corruptDir)
+	segs, err := filepath.Glob(filepath.Join(corruptDir, "seg-*"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("seeded corpus segments = %v (%v), want one", segs, err)
+	}
+	buf, err := os.ReadFile(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf[len(buf)/2] ^= 1
+	if err := os.WriteFile(segs[0], buf, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, corrupt := testServer(t, Config{
+		CorpusDir: corruptDir,
+		execute:   func(JobSpec) ([]byte, error) { return []byte("{}"), nil },
+	})
 
-	post := func(body []byte) (int, string) {
+	post := func(c *Client, body []byte) (int, string) {
 		t.Helper()
 		resp, err := http.Post(c.url("/corpus/query"), "application/json", bytes.NewReader(body))
 		if err != nil {
@@ -84,15 +105,17 @@ func TestCorpusQueryBadRequests(t *testing.T) {
 	}
 
 	for name, tc := range map[string]struct {
+		c    *Client
 		body []byte
 		want int
 	}{
-		"malformed json": {[]byte(`{"op": "near`), http.StatusBadRequest},
-		"unknown op":     {[]byte(`{"op":"frobnicate"}`), http.StatusBadRequest},
-		"bad ref":        {[]byte(`{"op":"nearest","ref":"not-a-ref"}`), http.StatusBadRequest},
-		"oversized":      {bytes.Repeat([]byte("x"), maxQueryBytes+1), http.StatusRequestEntityTooLarge},
+		"malformed json": {c, []byte(`{"op": "near`), http.StatusBadRequest},
+		"unknown op":     {c, []byte(`{"op":"frobnicate"}`), http.StatusBadRequest},
+		"bad ref":        {c, []byte(`{"op":"nearest","ref":"not-a-ref"}`), http.StatusBadRequest},
+		"oversized":      {c, bytes.Repeat([]byte("x"), maxQueryBytes+1), http.StatusRequestEntityTooLarge},
+		"flipped byte":   {corrupt, []byte(`{"op":"stats"}`), http.StatusInternalServerError},
 	} {
-		code, body := post(tc.body)
+		code, body := post(tc.c, tc.body)
 		if code != tc.want {
 			t.Fatalf("%s: HTTP %d (%s), want %d", name, code, body, tc.want)
 		}
@@ -115,12 +138,14 @@ func TestCorpusQueryBadRequests(t *testing.T) {
 
 // TestCorpusQueryMatchesCLI: the service answer is byte-identical to
 // what `phasechar query` prints for the same question — both ends
-// marshal the same corpus.QueryResponse with the same encoder.
+// marshal the same corpus.QueryResponse with the same encoder — and
+// /metrics reports the corpus lock's waits.
 func TestCorpusQueryMatchesCLI(t *testing.T) {
 	dir := t.TempDir()
 	direct := seedCorpus(t, dir)
 	_, c := testServer(t, Config{
 		CorpusDir: dir,
+		Metrics:   obs.New(),
 		execute:   func(JobSpec) ([]byte, error) { return []byte("{}"), nil },
 	})
 
@@ -146,6 +171,19 @@ func TestCorpusQueryMatchesCLI(t *testing.T) {
 		if !bytes.Equal(cli.Bytes(), served) {
 			t.Fatalf("query %+v: service bytes differ from CLI bytes:\n%s\nvs\n%s", q, served, cli.Bytes())
 		}
+	}
+
+	raw, err := c.Metrics()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep obs.Report
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	// Open, then one lock per query.
+	if got := rep.Histograms["corpus.lock_wait"].Count; got != 6 {
+		t.Fatalf("/metrics corpus.lock_wait count = %d, want 6", got)
 	}
 }
 

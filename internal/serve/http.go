@@ -35,12 +35,14 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// timed wraps a handler with its endpoint's latency histogram.
+// timed wraps a handler with its endpoint's latency histogram, resolved
+// once here so a request never takes the metrics registry's lock.
 func (s *Server) timed(name string, h http.HandlerFunc) http.HandlerFunc {
+	hist := s.m.Histogram(name)
 	return func(w http.ResponseWriter, r *http.Request) {
 		t0 := time.Now()
 		h(w, r)
-		s.m.ObserveSince(name, t0)
+		hist.Observe(time.Since(t0))
 	}
 }
 

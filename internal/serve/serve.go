@@ -103,6 +103,7 @@ type Server struct {
 	jobsDone     *obs.Counter
 	jobsFailed   *obs.Counter
 	jobsCancel   *obs.Counter
+	jobRuntime   *obs.Histogram
 }
 
 // New builds the service and starts its worker pool. Callers must Close
@@ -146,6 +147,7 @@ func New(cfg Config) (*Server, error) {
 		jobsDone:     cfg.Metrics.Counter("serve.jobs_done"),
 		jobsFailed:   cfg.Metrics.Counter("serve.jobs_failed"),
 		jobsCancel:   cfg.Metrics.Counter("serve.jobs_cancelled"),
+		jobRuntime:   cfg.Metrics.Histogram("serve.job_runtime"),
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workers.Add(1)
@@ -261,7 +263,7 @@ func (s *Server) runJob(j *job) {
 	}
 	j.finish(StateDone, payload, nil)
 	s.jobsDone.Inc()
-	s.m.ObserveSince("serve.job_runtime", t0)
+	s.jobRuntime.Observe(time.Since(t0))
 	s.logf("serve: job %s done in %v (%d result bytes)", j.id, time.Since(t0).Round(time.Millisecond), len(payload))
 }
 

@@ -1,7 +1,8 @@
 #!/bin/sh
 # Repo verification gate: build, vet, the full test suite, vet and
 # smoke tests of the benchmark module, the race detector over every
-# package, short fuzz runs over every binary decoder, the
+# package (and 20 runs of the corpus's concurrent-query test at one and
+# four procs), short fuzz runs over every binary decoder, the
 # shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
 # crash-recovery gate (a cached rerun after kill -9 mid-characterize does
 # not stall and exports the same bytes), the k-means pruning gate (the
@@ -65,6 +66,11 @@ echo "== shardnet -race at pinned worker counts"
 # at serial and at 4 workers explicitly.
 SHARDNET_TEST_WORKERS=1 go test -race -count=1 ./internal/shardnet/
 SHARDNET_TEST_WORKERS=4 go test -race -count=1 ./internal/shardnet/
+
+echo "== corpus queries concurrent with ingest and compaction (-race)"
+# Queries scan an index snapshot without the corpus lock: every answer
+# must still equal some serial corpus state's, at one and four procs.
+go test -race -cpu 1,4 -count 20 -run '^TestConcurrentQueriesMatchSerial$' ./internal/corpus/
 
 echo "== fuzz decoders (${FUZZ_BUDGET:-2s} each)"
 # Every decoder that reads bytes from disk or the network, and the
