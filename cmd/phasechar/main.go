@@ -43,9 +43,9 @@
 //	phasechar -cache .cache export                       # new benchmarks only
 //
 // Or run as a long-lived characterization service: a front door that
-// accepts analysis jobs over HTTP, runs them against a shared cache
-// (with an in-memory hot tier, so repeat queries answer at memory
-// speed), and streams status and byte-identical results back:
+// accepts analysis jobs over HTTP, runs them against a shared cache (so
+// a repeat job reads its stage artifacts instead of recomputing them),
+// and streams status and byte-identical results back:
 //
 //	phasechar -cache .cache -addr 127.0.0.1:8430 service   # the server
 //	phasechar -server http://127.0.0.1:8430 -tenant alice \
@@ -135,7 +135,6 @@ func run() (err error) {
 		tenant      = flag.String("tenant", "", "with the 'submit' target: tenant name sent as X-Tenant (empty: anonymous)")
 		queueDepth  = flag.Int("queue-depth", 16, "with the 'service' target: max queued jobs beyond the running ones; submissions past it get 429")
 		jobWorkers  = flag.Int("job-workers", 2, "with the 'service' target: jobs run concurrently")
-		hotMB       = flag.Int("hot-mb", 256, "with the 'service' target: in-memory hot-tier byte budget in MiB in front of -cache (0: no hot tier)")
 		quotaBurst  = flag.Float64("quota-burst", 0, "with the 'service' target: per-tenant token-bucket burst; 0 disables quotas")
 		quotaRate   = flag.Float64("quota-rate", 1, "with the 'service' target: per-tenant token refill rate (submissions per second)")
 		obsFlags    = cliobs.RegisterObsFlags(flag.CommandLine)
@@ -295,7 +294,6 @@ func run() (err error) {
 			CacheDir:    *cacheDir,
 			QueueDepth:  *queueDepth,
 			Workers:     *jobWorkers,
-			HotBytes:    int64(*hotMB) << 20,
 			QuotaPerSec: *quotaRate,
 			QuotaBurst:  *quotaBurst,
 			Metrics:     sm,

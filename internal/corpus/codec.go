@@ -2,14 +2,15 @@ package corpus
 
 // Binary codecs for the two persisted corpus file kinds: segments (the
 // append-only record batches) and the manifest (the root that names the
-// live segments). Both follow the fcache entry discipline — a magic
-// number, a schema version, and an FNV-1a trailer checksum over
-// everything before it — and both decoders must survive arbitrary bytes:
-// these files cross a trust boundary (shared corpus directories), so a
-// hostile or truncated payload must produce an error, never a panic or
-// an unbounded allocation. Element counts are bounded against the bytes
-// actually present before anything is allocated, exactly like the
-// artifact decoders in internal/core.
+// live segments). Both open with a magic number and a schema version and
+// end with a 64-bit FNV-1a checksum over everything before it, and both
+// decoders must survive arbitrary bytes: these files cross a trust
+// boundary (shared corpus directories), so a hostile or truncated
+// payload must produce an error, never a panic or an unbounded
+// allocation. Element counts are bounded against the bytes actually
+// present before anything is allocated, exactly like the artifact
+// decoders in internal/core. Decode errors name neither the package nor
+// the file; the caller that read the file prefixes both.
 
 import (
 	"encoding/binary"
@@ -32,8 +33,11 @@ const (
 	checksumPrime = 0x100000001b3
 )
 
-// checksum is FNV-1a over b, the same integrity primitive fcache trails
-// its entries with.
+// checksum is FNV-1a over b. fcache and the shard wire use the
+// hardware-accelerated CRC-32C instead, but a corpus is user data rather
+// than a cache: changing its trailer would make every existing corpus
+// unreadable. FNV-1a's byte-at-a-time speed costs little here, since a
+// segment is checksummed once per snapshot build, never once per query.
 func checksum(b []byte) uint64 {
 	h := uint64(checksumSeed)
 	for _, c := range b {
@@ -98,14 +102,14 @@ func appendString(buf []byte, s string) []byte {
 
 func decodeU32(buf []byte) (uint32, []byte, error) {
 	if len(buf) < 4 {
-		return 0, nil, fmt.Errorf("corpus: truncated u32")
+		return 0, nil, fmt.Errorf("truncated u32")
 	}
 	return binary.LittleEndian.Uint32(buf), buf[4:], nil
 }
 
 func decodeU64(buf []byte) (uint64, []byte, error) {
 	if len(buf) < 8 {
-		return 0, nil, fmt.Errorf("corpus: truncated u64")
+		return 0, nil, fmt.Errorf("truncated u64")
 	}
 	return binary.LittleEndian.Uint64(buf), buf[8:], nil
 }
@@ -118,7 +122,7 @@ func decodeString(buf []byte) (string, []byte, error) {
 		return "", nil, err
 	}
 	if int(n) > len(rest) {
-		return "", nil, fmt.Errorf("corpus: %d-byte string in %d remaining bytes", n, len(rest))
+		return "", nil, fmt.Errorf("%d-byte string in %d remaining bytes", n, len(rest))
 	}
 	return string(rest[:n]), rest[n:], nil
 }
@@ -127,17 +131,17 @@ func decodeString(buf []byte) (string, []byte, error) {
 // and returns the body between them.
 func openPayload(buf []byte, magic uint32, what string) ([]byte, error) {
 	if len(buf) < 16 {
-		return nil, fmt.Errorf("corpus: %s truncated (%d bytes)", what, len(buf))
+		return nil, fmt.Errorf("%s truncated (%d bytes)", what, len(buf))
 	}
 	body, trailer := buf[:len(buf)-8], buf[len(buf)-8:]
 	if got, want := binary.LittleEndian.Uint64(trailer), checksum(body); got != want {
-		return nil, fmt.Errorf("corpus: %s checksum mismatch", what)
+		return nil, fmt.Errorf("%s checksum mismatch", what)
 	}
 	if got := binary.LittleEndian.Uint32(body); got != magic {
-		return nil, fmt.Errorf("corpus: %s has magic %08x, want %08x", what, got, magic)
+		return nil, fmt.Errorf("%s has magic %08x, want %08x", what, got, magic)
 	}
 	if v := binary.LittleEndian.Uint32(body[4:]); v != schemaVersion {
-		return nil, fmt.Errorf("corpus: %s has schema version %d, this build reads %d", what, v, schemaVersion)
+		return nil, fmt.Errorf("%s has schema version %d, this build reads %d", what, v, schemaVersion)
 	}
 	return body[8:], nil
 }
@@ -192,7 +196,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 		return nil, err
 	}
 	if int(nIng) > len(body)/ingestWireSize {
-		return nil, fmt.Errorf("corpus: %d ingest entries in %d bytes", nIng, len(body))
+		return nil, fmt.Errorf("%d ingest entries in %d bytes", nIng, len(body))
 	}
 	s.ingests = make([]ingestEntry, nIng)
 	for i := range s.ingests {
@@ -212,7 +216,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 		return nil, err
 	}
 	if int(nBench) > len(body)/benchWireSize {
-		return nil, fmt.Errorf("corpus: %d bench entries in %d bytes", nBench, len(body))
+		return nil, fmt.Errorf("%d bench entries in %d bytes", nBench, len(body))
 	}
 	s.benches = make([]benchEntry, nBench)
 	for i := range s.benches {
@@ -229,7 +233,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 		return nil, err
 	}
 	if int(nRec) > len(body)/recordWireSize {
-		return nil, fmt.Errorf("corpus: %d records in %d bytes", nRec, len(body))
+		return nil, fmt.Errorf("%d records in %d bytes", nRec, len(body))
 	}
 	s.recs = make([]record, nRec)
 	for i := range s.recs {
@@ -241,7 +245,7 @@ func decodeSegment(buf []byte) (*segment, error) {
 			return nil, err
 		}
 		if len(body) < 1 {
-			return nil, fmt.Errorf("corpus: truncated record kind")
+			return nil, fmt.Errorf("truncated record kind")
 		}
 		r.kind, body = Kind(body[0]), body[1:]
 		if r.index, body, err = decodeU32(body); err != nil {
@@ -251,14 +255,14 @@ func decodeSegment(buf []byte) (*segment, error) {
 			return nil, err
 		}
 		if r.kind > KindCentroid {
-			return nil, fmt.Errorf("corpus: record %d has unknown kind %d", i, r.kind)
+			return nil, fmt.Errorf("record %d has unknown kind %d", i, r.kind)
 		}
 		if r.benchRef >= nBench || r.ingestRef >= nIng {
-			return nil, fmt.Errorf("corpus: record %d references bench %d/%d, ingest %d/%d",
+			return nil, fmt.Errorf("record %d references bench %d/%d, ingest %d/%d",
 				i, r.benchRef, nBench, r.ingestRef, nIng)
 		}
 		if i > 0 && r.seq <= s.recs[i-1].seq {
-			return nil, fmt.Errorf("corpus: record sequence not strictly increasing (%d after %d)",
+			return nil, fmt.Errorf("record sequence not strictly increasing (%d after %d)",
 				r.seq, s.recs[i-1].seq)
 		}
 	}
@@ -266,13 +270,13 @@ func decodeSegment(buf []byte) (*segment, error) {
 		return nil, err
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("corpus: %d trailing bytes after segment", len(body))
+		return nil, fmt.Errorf("%d trailing bytes after segment", len(body))
 	}
 	if s.vecs.Rows != int(nRec) {
-		return nil, fmt.Errorf("corpus: %d records with %d vector rows", nRec, s.vecs.Rows)
+		return nil, fmt.Errorf("%d records with %d vector rows", nRec, s.vecs.Rows)
 	}
 	if nRec > 0 && s.vecs.Cols < 1 {
-		return nil, fmt.Errorf("corpus: records with %d-dimensional vectors", s.vecs.Cols)
+		return nil, fmt.Errorf("records with %d-dimensional vectors", s.vecs.Cols)
 	}
 	return s, nil
 }
@@ -335,7 +339,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 		return nil, err
 	}
 	if int(nSeg) > len(body)/4 {
-		return nil, fmt.Errorf("corpus: %d segment names in %d bytes", nSeg, len(body))
+		return nil, fmt.Errorf("%d segment names in %d bytes", nSeg, len(body))
 	}
 	m.segments = make([]string, nSeg)
 	for i := range m.segments {
@@ -343,7 +347,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 			return nil, err
 		}
 		if !validSegmentName(m.segments[i]) {
-			return nil, fmt.Errorf("corpus: manifest names invalid segment %q", m.segments[i])
+			return nil, fmt.Errorf("manifest names invalid segment %q", m.segments[i])
 		}
 	}
 	nLed, body, err := decodeU32(body)
@@ -351,7 +355,7 @@ func decodeManifest(buf []byte) (*manifest, error) {
 		return nil, err
 	}
 	if int(nLed) > len(body)/8 {
-		return nil, fmt.Errorf("corpus: %d ledger entries in %d bytes", nLed, len(body))
+		return nil, fmt.Errorf("%d ledger entries in %d bytes", nLed, len(body))
 	}
 	m.ledger = make([]uint64, nLed)
 	for i := range m.ledger {
@@ -359,11 +363,11 @@ func decodeManifest(buf []byte) (*manifest, error) {
 			return nil, err
 		}
 		if i > 0 && m.ledger[i] <= m.ledger[i-1] {
-			return nil, fmt.Errorf("corpus: ledger not strictly increasing")
+			return nil, fmt.Errorf("ledger not strictly increasing")
 		}
 	}
 	if len(body) != 0 {
-		return nil, fmt.Errorf("corpus: %d trailing bytes after manifest", len(body))
+		return nil, fmt.Errorf("%d trailing bytes after manifest", len(body))
 	}
 	return m, nil
 }

@@ -13,11 +13,17 @@
 // regenerates.
 //
 // Entries are self-validating: each file stores a magic number, the full
-// key, the payload length and an FNV-1a checksum. Get re-verifies all of
+// key, the payload length and a CRC-32C trailer. Get re-verifies all of
 // them and treats any mismatch — truncation, corruption, a hash collision
 // in the file name, a version bump — as a miss, deleting the bad entry on
 // a best-effort basis. A cache can never return wrong data silently; the
 // worst failure mode is regenerating.
+//
+// There is one read path and no in-process copy of the cache: every Get
+// reads the entry file, which the OS page cache serves from memory when
+// it is warm, and verifies it. The checksum runs at memory speed
+// (hash/crc32's Castagnoli table is hardware-accelerated on amd64 and
+// arm64), so a repeat read costs a syscall, a copy and the decode.
 //
 // Writes are atomic (temp file + rename), so concurrent workers and
 // processes may share one cache directory: duplicate Puts race benignly,
@@ -31,6 +37,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -110,16 +117,24 @@ func KindName(kind uint16) string {
 	}
 }
 
-// magic identifies fcache entry files ("FCH2"). The v2 format widened
-// the header so the payload starts 8-byte aligned; v1 ("FCH1") entries
-// miss by magic, are deleted as corrupt, and regenerate under v2.
-const magic = 0x46434832
+// magic identifies fcache entry files ("FCH3"). Entries in an earlier
+// layout ("FCH2", "FCH1") miss by magic, are deleted as corrupt, and
+// regenerate in this one.
+const magic = 0x46434833
 
 // headerSize is the fixed entry prefix: magic(4) kind(2) pad(2)
 // version(4) pad(4) behavior(8) seed(8) length(8) payloadLen(8). The
 // payload begins at a multiple of 8, so an aligned float64 block can be
 // decoded zero-copy by reinterpreting the entry buffer in place.
 const headerSize = 4 + 2 + 2 + 4 + 4 + 8 + 8 + 8 + 8
+
+// trailerSize is the CRC-32C (Castagnoli) of header and payload that
+// ends every entry.
+const trailerSize = 4
+
+// castagnoli is the CRC-32C table; crc32 uses the CPU's CRC instructions
+// for it where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // Key identifies one cached artifact.
 type Key struct {
@@ -153,9 +168,6 @@ func (k Key) hash() uint64 {
 // use Open.
 type Cache struct {
 	dir string
-	// hot is the directory's shared in-memory payload tier (see hot.go);
-	// nil unless EnableHotTier was called for dir.
-	hot *hotTier
 
 	// Observability sinks, installed by SetMetrics. All are nil (no-op)
 	// by default, so the uninstrumented hot path pays only nil checks.
@@ -165,10 +177,6 @@ type Cache struct {
 	skew         *obs.Counter
 	bytesRead    *obs.Counter
 	bytesWritten *obs.Counter
-	hotHits      *obs.Counter
-	hotMisses    *obs.Counter
-	hotEvict     *obs.Counter
-	hotBytes     *obs.Counter
 	sfLeader     *obs.Counter
 	sfShared     *obs.Counter
 	// kindHits/kindMisses split the traffic per artifact kind
@@ -208,12 +216,20 @@ func Open(dir string) (*Cache, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("fcache: %w", err)
 	}
-	c := &Cache{dir: dir, hot: hotFor(dir)}
+	c := &Cache{dir: dir}
 	if _, seen := sweptDirs.LoadOrStore(dir, struct{}{}); !seen {
 		c.swept = sweepStaleTemps(dir)
 	}
 	return c, nil
 }
+
+// EnableHotTier does nothing: every read goes to the entry file, which
+// the OS page cache serves from memory while it is warm, so there is no
+// in-memory tier to enable.
+//
+// Deprecated: kept only so the benchmark module (perfbench), which
+// calls it, builds unchanged.
+func EnableHotTier(dir string, budget int64) {}
 
 // SetMetrics installs an observability collector: cache traffic is
 // recorded under the counters fcache.hits, fcache.misses,
@@ -228,10 +244,6 @@ func (c *Cache) SetMetrics(m *obs.Metrics) {
 	c.skew = m.Counter("fcache.version_skew")
 	c.bytesRead = m.Counter("fcache.bytes_read")
 	c.bytesWritten = m.Counter("fcache.bytes_written")
-	c.hotHits = m.Counter("fcache.hot_hits")
-	c.hotMisses = m.Counter("fcache.hot_misses")
-	c.hotEvict = m.Counter("fcache.hot_evictions")
-	c.hotBytes = m.Counter("fcache.hot_bytes")
 	c.sfLeader = m.Counter("fcache.sf_leader")
 	c.sfShared = m.Counter("fcache.sf_shared")
 	for kind := uint16(1); kind <= maxKind; kind++ {
@@ -295,19 +307,9 @@ func (c *Cache) path(k Key) string {
 		fmt.Sprintf("%016x.fc", h))
 }
 
-// fnv1a is the 64-bit FNV-1a checksum of b.
-func fnv1a(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
 // encode renders the full entry file for key + payload.
 func encode(k Key, payload []byte) []byte {
-	buf := make([]byte, headerSize+len(payload)+8)
+	buf := make([]byte, headerSize+len(payload)+trailerSize)
 	le := binary.LittleEndian
 	le.PutUint32(buf[0:], magic)
 	le.PutUint16(buf[4:], k.Kind)
@@ -318,7 +320,7 @@ func encode(k Key, payload []byte) []byte {
 	le.PutUint64(buf[32:], uint64(k.Length))
 	le.PutUint64(buf[40:], uint64(len(payload)))
 	copy(buf[headerSize:], payload)
-	le.PutUint64(buf[headerSize+len(payload):], fnv1a(buf[:headerSize+len(payload)]))
+	le.PutUint32(buf[headerSize+len(payload):], crc32.Checksum(buf[:headerSize+len(payload)], castagnoli))
 	return buf
 }
 
@@ -326,7 +328,7 @@ func encode(k Key, payload []byte) []byte {
 // payload, or an error describing the first mismatch.
 func decode(k Key, buf []byte) ([]byte, error) {
 	le := binary.LittleEndian
-	if len(buf) < headerSize+8 {
+	if len(buf) < headerSize+trailerSize {
 		return nil, fmt.Errorf("fcache: entry truncated (%d bytes)", len(buf))
 	}
 	if le.Uint32(buf[0:]) != magic {
@@ -349,11 +351,10 @@ func decode(k Key, buf []byte) ([]byte, error) {
 		return nil, fmt.Errorf("fcache: key mismatch (stored %+v, want %+v)", got, k)
 	}
 	n := le.Uint64(buf[40:])
-	if n != uint64(len(buf)-headerSize-8) {
+	if n != uint64(len(buf)-headerSize-trailerSize) {
 		return nil, fmt.Errorf("fcache: payload length %d does not match file size", n)
 	}
-	body := buf[: headerSize+n : headerSize+n]
-	if fnv1a(body) != le.Uint64(buf[headerSize+n:]) {
+	if crc32.Checksum(buf[:headerSize+n], castagnoli) != le.Uint32(buf[headerSize+n:]) {
 		return nil, fmt.Errorf("fcache: checksum mismatch")
 	}
 	return buf[headerSize : headerSize+n], nil
@@ -374,18 +375,10 @@ func (c *Cache) Get(k Key) (payload []byte, ok bool) {
 	return payload, ok
 }
 
-// get is Get without the hit/miss accounting, shared with GetVector
-// (which has its own extra validity check and counts on its own). With a
-// hot tier enabled, resident payloads are served from memory; disk hits
-// warm the tier on the way out.
+// get is Get without the hit/miss accounting, shared with GetVector and
+// GetBinary (which add their own validity checks and count on their
+// own).
 func (c *Cache) get(k Key) (payload []byte, ok bool) {
-	if p, ok := c.hot.get(k); ok {
-		c.hotHits.Inc()
-		return p, true
-	}
-	if c.hot != nil {
-		c.hotMisses.Inc()
-	}
 	p := c.path(k)
 	buf, err := os.ReadFile(p)
 	if err != nil {
@@ -395,26 +388,13 @@ func (c *Cache) get(k Key) (payload []byte, ok bool) {
 	payload, err = decode(k, buf)
 	if err != nil {
 		os.Remove(p) // never trust it again
-		c.hot.drop(k)
 		c.corrupt.Inc()
 		if errors.Is(err, ErrVersionSkew) {
 			c.skew.Inc()
 		}
 		return nil, false
 	}
-	c.warmHot(k, payload)
 	return payload, true
-}
-
-// warmHot populates the hot tier with a just-validated or just-written
-// payload and charges the movement to the handle's counters.
-func (c *Cache) warmHot(k Key, payload []byte) {
-	if c.hot == nil {
-		return
-	}
-	evicted, delta := c.hot.put(k, payload)
-	c.hotEvict.Add(int64(evicted))
-	c.hotBytes.Add(delta)
 }
 
 // Put stores payload under k, atomically: the entry is written to a
@@ -441,18 +421,15 @@ func (c *Cache) Put(k Key, payload []byte) error {
 	if err := os.Rename(tmp.Name(), p); err != nil {
 		return fmt.Errorf("fcache: %w", err)
 	}
-	c.bytesWritten.Add(int64(headerSize + len(payload) + 8))
-	c.warmHot(k, payload)
+	c.bytesWritten.Add(int64(headerSize + len(payload) + trailerSize))
 	return nil
 }
 
-// Discard removes the entry for k — disk and hot tier — and counts it
-// as corrupt-deleted. For callers whose decoder rejected a payload that
+// Discard removes the entry for k and counts it as corrupt-deleted. For callers whose decoder rejected a payload that
 // passed the cache's own checksum (an artifact-level schema skew): the
 // entry must not be trusted again, exactly as if decode had failed.
 func (c *Cache) Discard(k Key) {
 	os.Remove(c.path(k))
-	c.hot.drop(k)
 	c.corrupt.Inc()
 }
 
@@ -466,7 +443,6 @@ func (c *Cache) GetVector(k Key, want int) ([]float64, bool) {
 	}
 	if len(payload) != 8*want {
 		os.Remove(c.path(k))
-		c.hot.drop(k)
 		c.corrupt.Inc()
 		c.countMiss(k.Kind)
 		return nil, false
@@ -508,7 +484,6 @@ func (c *Cache) GetBinary(k Key, v encoding.BinaryUnmarshaler) bool {
 	}
 	if err := v.UnmarshalBinary(payload); err != nil {
 		os.Remove(c.path(k))
-		c.hot.drop(k)
 		c.corrupt.Inc()
 		c.countMiss(k.Kind)
 		return false

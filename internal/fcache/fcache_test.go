@@ -252,7 +252,7 @@ func TestMetricsCounters(t *testing.T) {
 	if err := c.Put(k, payload); err != nil {
 		t.Fatal(err)
 	}
-	entrySize := int64(headerSize + len(payload) + 8)
+	entrySize := int64(headerSize + len(payload) + trailerSize)
 	if got := val("fcache.bytes_written"); got != entrySize {
 		t.Fatalf("bytes_written = %d, want %d", got, entrySize)
 	}

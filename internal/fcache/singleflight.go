@@ -6,8 +6,8 @@ package fcache
 // would both burn a full compute. GetOrCompute closes that gap within
 // one process: concurrent goroutines (service jobs) asking for one key
 // elect a leader, which computes and persists the entry; the rest wait
-// and read the leader's entry from the cache (memory-speed with the hot
-// tier).
+// and read the leader's entry from the cache (a page-cache read of the
+// file the leader just wrote).
 //
 // Separate processes sharing a directory do not coordinate: if two race
 // on one key, each computes and writes identical bytes by atomic rename.
@@ -54,8 +54,8 @@ func (c *Cache) GetOrCompute(k Key, compute func() ([]byte, error)) (payload []b
 				return nil, false, f.err
 			}
 			// Re-read rather than alias the leader's buffer: the entry is
-			// on disk (and in the hot tier), and a fresh payload cannot
-			// leak one caller's zero-copy decode into another's.
+			// on disk, and a fresh payload cannot leak one caller's
+			// zero-copy decode into another's.
 			if p, ok := c.Get(k); ok {
 				return p, false, nil
 			}
@@ -66,8 +66,13 @@ func (c *Cache) GetOrCompute(k Key, compute func() ([]byte, error)) (payload []b
 		flights.m[id] = f
 		flights.Unlock()
 
-		payload, err = compute()
-		if err == nil && c.Put(k, payload) == nil {
+		// A leader that finished between the Get above and taking the
+		// lock has already written the entry: read it instead of
+		// computing the key a second time.
+		var hit bool
+		if payload, hit = c.get(k); hit {
+			c.countHit(k.Kind)
+		} else if payload, err = compute(); err == nil && c.Put(k, payload) == nil {
 			c.sfLeader.Inc()
 		}
 		f.err = err
@@ -75,6 +80,6 @@ func (c *Cache) GetOrCompute(k Key, compute func() ([]byte, error)) (payload []b
 		delete(flights.m, id)
 		flights.Unlock()
 		close(f.done)
-		return payload, true, err
+		return payload, !hit, err
 	}
 }

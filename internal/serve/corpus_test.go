@@ -108,12 +108,15 @@ func TestCorpusQueryBadRequests(t *testing.T) {
 		c    *Client
 		body []byte
 		want int
+		// names, when set, must appear in the error, which must then
+		// carry the "corpus:" prefix exactly once.
+		names string
 	}{
-		"malformed json": {c, []byte(`{"op": "near`), http.StatusBadRequest},
-		"unknown op":     {c, []byte(`{"op":"frobnicate"}`), http.StatusBadRequest},
-		"bad ref":        {c, []byte(`{"op":"nearest","ref":"not-a-ref"}`), http.StatusBadRequest},
-		"oversized":      {c, bytes.Repeat([]byte("x"), maxQueryBytes+1), http.StatusRequestEntityTooLarge},
-		"flipped byte":   {corrupt, []byte(`{"op":"stats"}`), http.StatusInternalServerError},
+		"malformed json": {c, []byte(`{"op": "near`), http.StatusBadRequest, ""},
+		"unknown op":     {c, []byte(`{"op":"frobnicate"}`), http.StatusBadRequest, ""},
+		"bad ref":        {c, []byte(`{"op":"nearest","ref":"not-a-ref"}`), http.StatusBadRequest, ""},
+		"oversized":      {c, bytes.Repeat([]byte("x"), maxQueryBytes+1), http.StatusRequestEntityTooLarge, ""},
+		"flipped byte":   {corrupt, []byte(`{"op":"stats"}`), http.StatusInternalServerError, filepath.Base(segs[0])},
 	} {
 		code, body := post(tc.c, tc.body)
 		if code != tc.want {
@@ -122,6 +125,9 @@ func TestCorpusQueryBadRequests(t *testing.T) {
 		var ce corpusError
 		if err := json.Unmarshal([]byte(body), &ce); err != nil || ce.Error == "" {
 			t.Fatalf("%s: body %q is not a JSON corpus error", name, body)
+		}
+		if tc.names != "" && (!strings.Contains(ce.Error, tc.names) || strings.Count(ce.Error, "corpus:") != 1) {
+			t.Fatalf("%s: error %q should name %s and say \"corpus:\" once", name, ce.Error, tc.names)
 		}
 	}
 

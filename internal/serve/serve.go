@@ -3,11 +3,10 @@
 // core pipeline against a shared artifact cache, and streams status and
 // results back. One process serves many tenants; what makes that safe
 // and fast is layered below this package — admission control and
-// per-tenant quotas here, the in-memory hot tier and per-key
-// singleflight in fcache, stage artifacts and the incremental delta
-// path in core. A job's result is byte-identical to the one-shot CLI
-// export for the same spec: the service changes where the pipeline
-// runs, never what it computes.
+// per-tenant quotas here, per-key singleflight in fcache, stage
+// artifacts and the incremental delta path in core. A job's result is
+// byte-identical to the one-shot CLI export for the same spec: the
+// service changes where the pipeline runs, never what it computes.
 //
 // Endpoints:
 //
@@ -37,7 +36,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/corpus"
-	"repro/internal/fcache"
 	"repro/internal/obs"
 )
 
@@ -51,8 +49,12 @@ type Config struct {
 	QueueDepth int
 	// Workers is how many jobs run concurrently (0: default 2).
 	Workers int
-	// HotBytes is the byte budget of the in-memory hot tier in front of
-	// CacheDir (0: no hot tier).
+	// HotBytes is ignored: repeat artifact reads go to the entry files,
+	// which the OS page cache serves from memory while they are warm,
+	// so there is no in-memory tier to size.
+	//
+	// Deprecated: kept only so the benchmark module (perfbench), which
+	// sets it, builds unchanged.
 	HotBytes int64
 	// QuotaPerSec / QuotaBurst configure the per-tenant token buckets:
 	// QuotaBurst submissions up front, refilled at QuotaPerSec. A
@@ -120,9 +122,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.IngestJobs && cfg.CorpusDir == "" {
 		return nil, fmt.Errorf("serve: IngestJobs needs a corpus directory")
-	}
-	if cfg.HotBytes > 0 {
-		fcache.EnableHotTier(cfg.CacheDir, cfg.HotBytes)
 	}
 	var corp *corpus.Corpus
 	if cfg.CorpusDir != "" {
@@ -278,8 +277,8 @@ func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
 	}
 	// The service fills in what the spec must not control: every job
 	// shares the service cache (so stage artifacts of earlier identical
-	// jobs — and the hot tier holding them — answer repeat queries), and
-	// reports into the service collector.
+	// jobs answer repeat queries), and reports into the service
+	// collector.
 	cfg.CacheDir = s.cfg.CacheDir
 	cfg.Metrics = s.m
 	res, err := core.Run(reg, cfg, nil)

@@ -2,15 +2,16 @@ package shardnet
 
 // Wire frames for the shard RPC. Both directions use a fixed-layout
 // little-endian binary encoding with a leading magic, an explicit wire
-// version, and a trailing FNV-1a checksum over everything that precedes
-// it, so a frame damaged anywhere in flight — truncated, bit-flipped,
-// served by the wrong endpoint — is rejected by the decoder rather than
-// interpreted. Decoders return errors, never panic, on arbitrary bytes
-// (pinned by the fuzz targets in fuzz_test.go).
+// version, and a trailing CRC-32C (Castagnoli) over everything that
+// precedes it, so a frame damaged anywhere in flight — truncated,
+// bit-flipped, served by the wrong endpoint — is rejected by the decoder
+// rather than interpreted. Decoders return errors, never panic, on
+// arbitrary bytes (pinned by the fuzz targets in fuzz_test.go).
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 
 	"repro/internal/core"
 )
@@ -18,28 +19,23 @@ import (
 const (
 	// WireVersion versions the frame layout itself. Bump on any layout
 	// change; both ends refuse mismatched frames.
-	WireVersion = 1
+	WireVersion = 2
 
 	reqMagic  uint32 = 0x534e5131 // "SNQ1"
 	respMagic uint32 = 0x534e5031 // "SNP1"
 
+	// checksumSize is the CRC-32C trailer that ends every frame.
+	checksumSize = 4
 	// reqFrameSize is the fixed encoded size of a ShardRequest.
-	reqFrameSize = 4 + 2 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + 8
+	reqFrameSize = 4 + 2 + 2 + 4 + 4 + 4 + 4 + 4 + 4 + 4 + 8 + 8 + checksumSize
 	// respHeaderSize is the fixed prefix of a ShardResponse before the
-	// payload; the trailing checksum adds 8 more bytes after it.
+	// payload; the checksum trailer follows the payload.
 	respHeaderSize = 4 + 2 + 2 + 4 + 4 + 4 + 8 + 8
 )
 
-// fnv1a is the 64-bit FNV-1a checksum of b (the same construction the
-// fcache entry format uses).
-func fnv1a(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
+// castagnoli is the CRC-32C table; crc32 uses the CPU's CRC instructions
+// for it where they exist.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // ShardRequest asks a worker to characterize shard Index/Count of the
 // dataset described by the sampling parameters. DatasetHash fingerprints
@@ -115,7 +111,7 @@ func (r *ShardRequest) MarshalBinary() ([]byte, error) {
 	buf = le.AppendUint32(buf, sampled)
 	buf = le.AppendUint64(buf, uint64(r.Seed))
 	buf = le.AppendUint64(buf, r.DatasetHash)
-	buf = le.AppendUint64(buf, fnv1a(buf))
+	buf = le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf, nil
 }
 
@@ -132,7 +128,7 @@ func (r *ShardRequest) UnmarshalBinary(data []byte) error {
 	if v := le.Uint16(data[4:]); v != WireVersion {
 		return fmt.Errorf("shardnet: request wire version %d, want %d", v, WireVersion)
 	}
-	if got, want := le.Uint64(data[reqFrameSize-8:]), fnv1a(data[:reqFrameSize-8]); got != want {
+	if got, want := le.Uint32(data[reqFrameSize-checksumSize:]), crc32.Checksum(data[:reqFrameSize-checksumSize], castagnoli); got != want {
 		return fmt.Errorf("shardnet: request checksum mismatch")
 	}
 	r.ArtifactVersion = le.Uint32(data[8:])
@@ -167,7 +163,7 @@ type ShardResponse struct {
 
 // MarshalBinary encodes the response frame (encoding.BinaryMarshaler).
 func (r *ShardResponse) MarshalBinary() ([]byte, error) {
-	buf := make([]byte, 0, respHeaderSize+len(r.Payload)+8)
+	buf := make([]byte, 0, respHeaderSize+len(r.Payload)+checksumSize)
 	le := binary.LittleEndian
 	buf = le.AppendUint32(buf, respMagic)
 	buf = le.AppendUint16(buf, WireVersion)
@@ -178,7 +174,7 @@ func (r *ShardResponse) MarshalBinary() ([]byte, error) {
 	buf = le.AppendUint64(buf, r.DatasetHash)
 	buf = le.AppendUint64(buf, uint64(len(r.Payload)))
 	buf = append(buf, r.Payload...)
-	buf = le.AppendUint64(buf, fnv1a(buf))
+	buf = le.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 	return buf, nil
 }
 
@@ -186,7 +182,7 @@ func (r *ShardResponse) MarshalBinary() ([]byte, error) {
 // (encoding.BinaryUnmarshaler). The payload is copied out of data.
 func (r *ShardResponse) UnmarshalBinary(data []byte) error {
 	le := binary.LittleEndian
-	if len(data) < respHeaderSize+8 {
+	if len(data) < respHeaderSize+checksumSize {
 		return fmt.Errorf("shardnet: response frame truncated (%d bytes)", len(data))
 	}
 	if le.Uint32(data) != respMagic {
@@ -196,10 +192,10 @@ func (r *ShardResponse) UnmarshalBinary(data []byte) error {
 		return fmt.Errorf("shardnet: response wire version %d, want %d", v, WireVersion)
 	}
 	n := le.Uint64(data[respHeaderSize-8:])
-	if n != uint64(len(data)-respHeaderSize-8) {
+	if n != uint64(len(data)-respHeaderSize-checksumSize) {
 		return fmt.Errorf("shardnet: response payload length %d does not match frame size %d", n, len(data))
 	}
-	if got, want := le.Uint64(data[len(data)-8:]), fnv1a(data[:len(data)-8]); got != want {
+	if got, want := le.Uint32(data[len(data)-checksumSize:]), crc32.Checksum(data[:len(data)-checksumSize], castagnoli); got != want {
 		return fmt.Errorf("shardnet: response checksum mismatch")
 	}
 	r.ArtifactVersion = le.Uint32(data[8:])

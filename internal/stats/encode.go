@@ -19,9 +19,9 @@ import (
 // (u32 each) are followed by padLen zero bytes chosen by the encoder so
 // the float64 block starts at a buffer offset that is a multiple of 8.
 // Combined with the storage layer placing payloads at 8-aligned file
-// offsets (fcache's FCH2 header), the decoder can usually reinterpret
-// the float block in place — one kernel.AliasFloats call instead of a
-// per-element byte-shuffling loop. When the block lands misaligned (a
+// offsets (fcache's 48-byte entry header), the decoder can usually
+// reinterpret the float block in place — one kernel.AliasFloats call
+// instead of a per-element byte-shuffling loop. When the block lands misaligned (a
 // foreign framing layer, a sub-slice at an odd offset), the decoder
 // falls back to a bulk copy; the decoded values are identical either
 // way, only the sharing differs.
