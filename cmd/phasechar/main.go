@@ -17,18 +17,20 @@
 //
 // With -cache every stage persists its artifact and looks it up before
 // computing, so a rerun with the same config recomputes nothing. The
-// characterization stage can also be split across processes:
+// characterization can also be split across processes: shard workers
+// leave their interval vectors in the cache, and a plain cached run
+// reads them instead of characterizing:
 //
 //	phasechar -cache .cache -shard 0/3 shard     # one worker per shard
 //	phasechar -cache .cache -shard 1/3 shard
 //	phasechar -cache .cache -shard 2/3 shard
-//	phasechar -cache .cache -merge 3 export      # merge + analysis
+//	phasechar -cache .cache export               # reads the vectors, analyzes
 //	phasechar -cache .cache export               # rerun: recomputes nothing
 //
 // Or split across machines with no shared filesystem: each worker runs a
-// shard server, and the coordinator ships shards over HTTP (the result is
-// byte-identical to a single-process run, whatever workers or faults the
-// run sees):
+// shard server, and the coordinator fetches one shard per worker over
+// HTTP into its cache before the run (the result is byte-identical to a
+// single-process run, whatever workers or faults the run sees):
 //
 //	phasechar -addr 10.0.0.2:8421 serve          # on each worker machine
 //	phasechar -cache .cache \
@@ -119,12 +121,11 @@ func run() (err error) {
 		quick       = flag.Bool("quick", false, "use small, fast parameters (for smoke runs)")
 		quiet       = flag.Bool("quiet", false, "suppress progress logging")
 		cacheDir    = flag.String("cache", "", "artifact cache directory: interval vectors and every stage's output persist across runs, a rerun loads each valid artifact instead of recomputing it, and a run over a superset of the last run's roster characterizes only the added benchmarks (empty: no cache)")
-		shardSpec   = flag.String("shard", "", "with the 'shard' target: characterize only shard i/n of the benchmarks (e.g. 0/3) and persist it as a shard artifact in -cache")
-		mergeN      = flag.Int("merge", 0, "assemble the characterization from n shard artifacts in -cache (computing any missing shard locally) before the analysis stages")
+		shardSpec   = flag.String("shard", "", "with the 'shard' target: characterize only shard i/n of the benchmarks (e.g. 0/3) into -cache's interval vectors, which a later cached run over the same cache reads")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProf     = flag.String("memprofile", "", "write a heap profile to this file")
 		serveAddr   = flag.String("addr", "127.0.0.1:0", "with the 'serve' target: address to serve shard requests on (port 0: ephemeral)")
-		workersAddr = flag.String("workers-addr", "", "comma-separated shard-worker addresses (host:port): distribute the characterization shards over HTTP before the analysis (requires -cache; default shard count: one per worker)")
+		workersAddr = flag.String("workers-addr", "", "comma-separated shard-worker addresses (host:port): characterize one shard per worker over HTTP into -cache before the analysis (requires -cache)")
 		rpcTimeout  = flag.Duration("rpc-timeout", 30*time.Second, "per-shard-request deadline for -workers-addr runs")
 		rpcRetries  = flag.Int("rpc-retries", 2, "extra attempts per worker per shard before the worker is declared dead")
 		rpcFaults   = flag.String("rpc-faults", "", "inject transport faults into -workers-addr runs, e.g. '0:5xx,corrupt;2:down' (workerIndex:kinds; kinds: drop delay corrupt 5xx hang down) — for testing; never changes results")
@@ -142,22 +143,16 @@ func run() (err error) {
 	)
 	flag.Parse()
 
-	// The shard/merge workflow lives in the cache; refusing early beats a
-	// misleading in-memory run that persists nothing.
-	if *shardSpec != "" && *mergeN > 0 {
-		return fmt.Errorf("-shard and -merge are different halves of the workflow: shard in worker runs, merge in the final run")
-	}
-	if (*shardSpec != "" || *mergeN > 0) && *cacheDir == "" {
-		return fmt.Errorf("-shard and -merge need -cache (shard artifacts are stored there)")
-	}
-	if *mergeN < 0 {
-		return fmt.Errorf("-merge %d: shard count must be positive", *mergeN)
+	// Shard workers hand their vectors over through the cache; refusing
+	// early beats a misleading in-memory run that persists nothing.
+	if *shardSpec != "" && *cacheDir == "" {
+		return fmt.Errorf("-shard needs -cache (the shard's interval vectors are stored there)")
 	}
 	if *workersAddr != "" && *shardSpec != "" {
 		return fmt.Errorf("-workers-addr and -shard are different roles: the coordinator distributes shards, a worker serves or computes one")
 	}
 	if *workersAddr != "" && *cacheDir == "" {
-		return fmt.Errorf("-workers-addr needs -cache (fetched shard artifacts are stored there for the merge)")
+		return fmt.Errorf("-workers-addr needs -cache (fetched shard vectors are stored there for the run)")
 	}
 	if corpusFlags.Ingest && corpusFlags.Dir == "" {
 		return fmt.Errorf("-corpus-ingest needs -corpus (the phase database completed jobs accumulate into)")
@@ -187,7 +182,7 @@ func run() (err error) {
 	}
 	target := flag.Arg(0)
 	if *shardSpec != "" && target != "shard" {
-		return fmt.Errorf("-shard only characterizes (target 'shard'); run the analysis over the shards with -merge %s", *shardSpec)
+		return fmt.Errorf("-shard only characterizes (target 'shard'); run the analysis with a plain cached run over the same -cache")
 	}
 
 	// The run's analysis knobs as a service job spec: local runs build
@@ -223,7 +218,7 @@ func run() (err error) {
 		}
 		fmt.Printf("  %-19s %s\n", "export", "run the pipeline and dump a JSON summary to stdout")
 		fmt.Printf("  %-19s %s\n", "simpoints <bench>", "select weighted simulation points for one benchmark (section 5.3)")
-		fmt.Printf("  %-19s %s\n", "shard", "characterize one shard of the benchmarks (-shard i/n, requires -cache)")
+		fmt.Printf("  %-19s %s\n", "shard", "characterize one shard of the benchmarks into -cache's interval vectors (-shard i/n, requires -cache)")
 		fmt.Printf("  %-19s %s\n", "serve", "serve shard computations over HTTP for a -workers-addr coordinator (-addr host:port)")
 		fmt.Printf("  %-19s %s\n", "service", "run the long-lived characterization service: analysis jobs over HTTP against a shared -cache (-addr host:port)")
 		fmt.Printf("  %-19s %s\n", "submit", "submit this invocation's parameters as a job to a running service (-server URL) and print the result JSON")
@@ -247,12 +242,7 @@ func run() (err error) {
 		return err
 	}
 	cfg.CacheDir = *cacheDir
-	cfg.Shard = *mergeN
 	cfg.Metrics = m
-	// Run writes the report when the pipeline completes; the deferred
-	// finish rewrites it at exit with the post-pipeline stages (GA
-	// selection, sweeps) included.
-	cfg.ReportPath = obsFlags.Report
 
 	if *exportM {
 		data, err := reg.ExportModels()
@@ -351,10 +341,6 @@ func run() (err error) {
 		if err != nil {
 			return err
 		}
-		if cfg.Shard < 1 {
-			// One shard per worker unless -merge chose a finer split.
-			cfg.Shard = len(urls)
-		}
 		coord := &shardnet.Coordinator{
 			Workers: urls,
 			Timeout: *rpcTimeout,
@@ -401,7 +387,7 @@ func run() (err error) {
 		}
 		state := "characterized"
 		if info.Resumed {
-			state = "already present"
+			state = "already cached"
 		}
 		fmt.Printf("shard %d/%d %s: %d benchmarks, %d sampled rows, %d unique intervals, %d instructions\n",
 			info.Index, info.Count, state, info.Benchmarks, info.Refs, info.UniqueIntervals, info.Instructions)

@@ -112,8 +112,8 @@ func newArtifactKeys(reg *bench.Registry, cfg Config, rows int) *artifactKeys {
 // exactly what VectorKey covers per interval — the behavior content hash
 // and interval seed — for every ref in order, plus the interval length,
 // so any change that could alter a single dataset bit changes the key.
-// Its zero seed keeps it disjoint from every engine shard key, whose
-// seed word carries a shard count of at least 1.
+// Its zero seed keeps it disjoint from the engine's dataset keys, whose
+// seed word is 1.
 func datasetKey(refs []IntervalRef, cfg Config) fcache.Key {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, r := range refs {
@@ -128,19 +128,23 @@ func datasetKey(refs []IntervalRef, cfg Config) fcache.Key {
 	}
 }
 
-// shardKey names one characterization shard's dataset artifact.
-func (k *artifactKeys) shardKey(index, count int, benches []int, refCount int) fcache.Key {
-	h := k.params
-	for _, bi := range benches {
-		h = foldHash(h, k.bench[bi])
-	}
+// characterizeKey names the engine's characterized dataset: dataset is
+// the parameter fold extended by each roster benchmark's hash in
+// registry order, rows the sampled row count. Its seed word is 1, as in
+// every cache written so far, so their dataset artifacts and baseline
+// manifests keep resolving.
+func characterizeKey(dataset uint64, rows int) fcache.Key {
 	return fcache.Key{
 		Kind:     fcache.KindShard,
 		Version:  artifactVersion(),
-		Behavior: h,
-		Seed:     uint64(index)<<32 | uint64(count),
-		Length:   int64(refCount),
+		Behavior: dataset,
+		Seed:     1,
+		Length:   int64(rows),
 	}
+}
+
+func (k *artifactKeys) characterizeKey() fcache.Key {
+	return characterizeKey(k.dataset, k.rows)
 }
 
 // pcaHash is the chain value for the fitted PCA model: it depends only on

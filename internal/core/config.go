@@ -57,30 +57,17 @@ type Config struct {
 	// never feed back into the pipeline, so results stay byte-identical
 	// either way.
 	Metrics *obs.Metrics `json:"-"`
-	// ReportPath, when non-empty, makes Run write the machine-readable
-	// JSON run report (obs.Report: spans + counters) to this file when
-	// the run completes. If Metrics is nil, Validate creates a collector
-	// so the report has something to say.
-	ReportPath string
 	// CacheDir, when non-empty, enables the persistent artifact cache
 	// (internal/fcache) rooted at that directory: characterized interval
-	// vectors, dataset shards and every analysis stage's output are
-	// stored under content-addressed keys, and every later run looks its
-	// artifacts up before computing, with bit-identical results. An
-	// unsharded run whose roster extends the latest cached run's roster
-	// characterizes only the added benchmarks (see incremental.go).
+	// vectors, the characterized dataset and every analysis stage's
+	// output are stored under content-addressed keys, and every later
+	// run looks its artifacts up before computing, with bit-identical
+	// results. A run whose roster extends the latest cached run's roster
+	// characterizes only the added benchmarks (see incremental.go), and
+	// one whose intervals shard workers characterized into the same
+	// directory (EncodeShard, PutShardArtifact) reads their vectors.
 	// Empty disables caching: every run computes everything.
 	CacheDir string
-	// Shard, when > 1, makes Run a merge run over that many shards:
-	// shard i holds the benchmarks whose registry position p satisfies
-	// p % Shard == i. Instead of characterizing everything in-process,
-	// each shard's dataset artifact is loaded from the cache (shards
-	// computed elsewhere via EncodeShard / `phasechar -shard i/n`), any
-	// missing shard is characterized locally, and the analysis stages run
-	// over the merged dataset. Requires CacheDir. The merged result is
-	// byte-identical to the single-process run at any worker count and
-	// any cache state. 0 or 1 means unsharded.
-	Shard int
 	// MemoBudget is ignored: the in-process dataset memo it bounded is
 	// gone, and a repeat characterization is served from the cache's
 	// dataset artifact instead.
@@ -176,9 +163,6 @@ func (c *Config) Validate() error {
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
 	}
-	if c.ReportPath != "" && c.Metrics == nil {
-		c.Metrics = obs.New()
-	}
 	// Resolve the documented zero-field inheritance of the per-stage
 	// knobs: clustering and GA follow the pipeline seed and worker count
 	// (and the observability collector) unless explicitly overridden.
@@ -211,12 +195,6 @@ func (c *Config) Validate() error {
 	}
 	if c.MinPCStd < 0 {
 		return fmt.Errorf("core: negative PC retention threshold")
-	}
-	if c.Shard < 0 {
-		return fmt.Errorf("core: negative shard count %d", c.Shard)
-	}
-	if c.Shard > 1 && c.CacheDir == "" {
-		return fmt.Errorf("core: sharded runs need a cache directory (shard artifacts live there)")
 	}
 	return nil
 }

@@ -48,8 +48,8 @@ type Dataset struct {
 	// so the total is identical whether a run was cold or cache-warm.
 	Instructions uint64
 	// CacheHits is how many unique intervals were served from the cache,
-	// by their own vector entries or by a whole dataset or shard artifact
-	// (0 without a cache).
+	// by their own vector entries or by a whole dataset artifact (0
+	// without a cache).
 	CacheHits int
 }
 
@@ -118,6 +118,13 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 	if loaded {
 		hits = len(work)
 	}
+	return art.dataset(refs, slot, hits), nil
+}
+
+// dataset lays art's rows, refs' distinct intervals, out as the Dataset
+// of refs: row i is art's row slot[i]. hits is how many of the distinct
+// intervals the cache served.
+func (art *coveredShard) dataset(refs []IntervalRef, slot []int, hits int) *Dataset {
 	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
 	for i, s := range slot {
 		copy(raw.Row(i), art.rows[s])
@@ -125,10 +132,10 @@ func Characterize(refs []IntervalRef, cfg Config) (*Dataset, error) {
 	return &Dataset{
 		Refs:            append([]IntervalRef(nil), refs...),
 		Raw:             raw,
-		UniqueIntervals: len(work),
+		UniqueIntervals: len(art.work),
 		Instructions:    art.instructions,
 		CacheHits:       hits,
-	}, nil
+	}
 }
 
 // openCache opens cfg's cache with cfg's collector installed, or returns

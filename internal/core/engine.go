@@ -12,16 +12,16 @@ package core
 //     config recomputes nothing; a corrupt or stale artifact misses and
 //     the stage recomputes — never fails. Without a cache every stage
 //     computes;
-//   - sharded characterization: with Config.Shard > 1, the dominant
-//     characterize stage is assembled from per-shard dataset artifacts
-//     computed independently (EncodeShard / `phasechar -shard`);
-//   - extend-dataset reuse: an unsharded characterize miss whose roster
-//     extends the latest cached run's copies that run's rows and
-//     characterizes only the added benchmarks (see incremental.go).
+//   - one characterize path: a characterize miss whose roster extends
+//     the latest cached run's copies that run's rows and characterizes
+//     only the added benchmarks (see incremental.go); any other miss
+//     characterizes through the interval-vector tier, which is where
+//     shard workers (EncodeShard, remote.go) leave their vectors.
 //
 // The load-bearing invariant: loading an artifact is bit-for-bit
-// equivalent to recomputing it, so any mix of computed, resumed and
-// merged stages yields a byte-identical Result at any worker count.
+// equivalent to recomputing it, so any mix of computed and resumed
+// stages and cached vectors yields a byte-identical Result at any
+// worker count.
 
 import (
 	"encoding"
@@ -29,9 +29,6 @@ import (
 
 	"repro/internal/bench"
 	"repro/internal/fcache"
-	"repro/internal/mica"
-	"repro/internal/obs"
-	"repro/internal/stats"
 )
 
 // stageArtifact is what the engine persists and restores per stage.
@@ -66,6 +63,13 @@ func newEngine(reg *bench.Registry, cfg Config, refs []IntervalRef, logf func(st
 // Key accessors tolerate cache-less runs: without a cache there is no
 // key chain (e.keys is nil) and the zero Key is never used, because
 // getOrCompute only touches keys when a cache is configured.
+
+func (e *engine) characterizeKey() fcache.Key {
+	if e.keys == nil {
+		return fcache.Key{}
+	}
+	return e.keys.characterizeKey()
+}
 
 func (e *engine) pcaKey() fcache.Key {
 	if e.keys == nil {
@@ -158,134 +162,41 @@ func (e *engine) stage(name string, key fcache.Key, art stageArtifact, rows int,
 	return nil
 }
 
-// shardPlan is one shard's slice of the sampled dataset.
-type shardPlan struct {
-	index, count int
-	// benches lists the shard's registry benchmark indices.
-	benches []int
-	// refs are the shard's sampled rows (registry/sample order).
-	refs []IntervalRef
-	// work are refs' distinct intervals in first-appearance order: the
-	// rows of the shard's artifact.
-	work []IntervalRef
-}
-
-// planShards partitions the sampled refs into count >= 1 shards by
-// registry position (benchmark i goes to shard i % count). The partition
-// depends only on the registry order and the count, never on workers or
-// cache state, so every process plans identically.
-func (e *engine) planShards(refs []IntervalRef, count int) []shardPlan {
-	plans := make([]shardPlan, count)
-	shardOf := make(map[*bench.Benchmark]int, e.reg.Len())
-	for i, b := range e.reg.All() {
-		shardOf[b] = i % count
-		plans[i%count].benches = append(plans[i%count].benches, i)
-	}
-	for _, r := range refs {
-		s := shardOf[r.Bench]
-		plans[s].refs = append(plans[s].refs, r)
-	}
-	for i := range plans {
-		plans[i].index, plans[i].count = i, count
-		plans[i].work, _ = dedupRefs(plans[i].refs)
-	}
-	return plans
-}
-
-// loadOrComputeShard serves one shard from its artifact or, on a miss,
-// characterizes it (see getOrCompute). A cached unsharded miss extends
-// the baseline when one applies and, once computed, becomes the new
-// baseline (see incremental.go). Returns the artifact, how it was served
-// ("resumed", "computed" or "delta"), and the cache hits of a computed
-// shard.
-func (e *engine) loadOrComputeShard(p shardPlan) (*coveredShard, string, int, error) {
-	var key fcache.Key
-	if e.keys != nil {
-		key = e.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
-	}
-	extend := e.cache != nil && p.count == 1
-	art := &coveredShard{work: p.work}
-	hits, delta := 0, false
-	loaded, err := getOrCompute(e.cache, key, art, func() (err error) {
-		if extend {
-			hits, delta, err = e.computeUnsharded(p, art)
-		} else {
-			hits, err = art.compute(e.cfg, e.cache)
-		}
-		return err
-	})
-	if err != nil {
-		return nil, "", 0, err
-	}
-	if loaded {
-		e.cfg.Metrics.Add("engine.shards_resumed", 1)
-		return art, "resumed", hits, nil
-	}
-	e.cfg.Metrics.Add("engine.shards_computed", 1)
-	if extend {
-		e.writeManifest(p)
-	}
-	if delta {
-		return art, "delta", hits, nil
-	}
-	return art, "computed", hits, nil
-}
-
-// characterize runs the (possibly sharded) characterization stage and
-// merges the shard artifacts into the run's Dataset.
+// characterize is the run's one characterize stage. It loads the
+// dataset artifact; on a miss it extends the baseline when one applies
+// (see incremental.go) and otherwise characterizes every unique interval
+// through the vector tier, so intervals a shard worker or an earlier run
+// already measured are read, not regenerated.
 func (e *engine) characterize(refs []IntervalRef) (*Dataset, error) {
 	if len(refs) == 0 {
 		return nil, fmt.Errorf("core: no intervals to characterize")
 	}
-	plans := e.planShards(refs, max(e.cfg.Shard, 1))
-	arts := make([]*coveredShard, len(plans))
-	// The stage is resumed when every shard was; only the single shard
-	// of an unsharded run can be served by the delta path.
-	stageMode := "resumed"
-	var instructions uint64
-	unique, cacheHits := 0, 0
-	for i := range plans {
-		art, mode, hits, err := e.loadOrComputeShard(plans[i])
-		if err != nil {
-			return nil, err
+	work, slot := dedupRefs(refs)
+	art := &coveredShard{work: work}
+	hits, mode := 0, "computed"
+	loaded, err := getOrCompute(e.cache, e.characterizeKey(), art, func() (err error) {
+		if e.cache == nil {
+			hits, err = art.compute(e.cfg, nil)
+			return err
 		}
-		if mode == "resumed" {
-			// Every interval the artifact holds was served from the cache.
-			hits = len(art.work)
-		} else {
-			stageMode = mode
+		var delta bool
+		if hits, delta, err = e.extendOrCompute(refs, art); delta {
+			mode = "delta"
 		}
-		cacheHits += hits
-		unique += len(art.work)
-		instructions += art.instructions
-		arts[i] = art
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	if stageMode == "resumed" {
-		e.cfg.Metrics.StartSpan("characterize").SetRows(unique).SetResumed(true).End()
-		e.logf("characterize: resumed %d shard artifact(s)", len(arts))
+	switch {
+	case loaded:
+		// Every interval the artifact holds was served from the cache.
+		mode, hits = "resumed", len(work)
+		e.cfg.Metrics.StartSpan("characterize").SetRows(len(work)).SetResumed(true).End()
+		e.logf("characterize: resumed from dataset artifact")
+	case e.cache != nil:
+		e.writeManifest(refs)
 	}
-	e.markStage("characterize", stageMode)
-
-	var mergeSpan *obs.Span // only recorded for merge runs
-	if len(plans) > 1 {
-		mergeSpan = e.cfg.Metrics.StartSpan("merge").SetRows(len(refs))
-	}
-	vecs := make(map[intervalKey][]float64, unique)
-	for _, art := range arts {
-		for i, r := range art.work {
-			vecs[intervalKey{r.Bench, r.Index}] = art.rows[i]
-		}
-	}
-	raw := stats.NewMatrix(len(refs), mica.NumMetrics)
-	for i, r := range refs {
-		copy(raw.Row(i), vecs[intervalKey{r.Bench, r.Index}])
-	}
-	mergeSpan.End()
-	return &Dataset{
-		Refs:            append([]IntervalRef(nil), refs...),
-		Raw:             raw,
-		UniqueIntervals: unique,
-		Instructions:    instructions,
-		CacheHits:       cacheHits,
-	}, nil
+	e.markStage("characterize", mode)
+	return art.dataset(refs, slot, hits), nil
 }

@@ -47,11 +47,13 @@ func corruptCacheEntries(t *testing.T, dir string) int {
 	return len(entries)
 }
 
-// TestShardMergeByteIdentical is the engine's load-bearing invariant: an
-// n-shard run — shards characterized in separate invocations, then merged
-// by the analysis run — must equal the plain single-process run byte for
-// byte, for n in {1, 3}, at two worker counts (merging at a third), both
-// on the first merge and on a repeat over the same cache.
+// TestShardMergeByteIdentical is the engine's load-bearing invariant
+// across processes: after an n-shard fleet (one EncodeShard per shard,
+// like `phasechar -shard i/n shard` in n processes sharing a cache), a
+// plain cached run must assemble its dataset from the fleet's interval
+// vectors without characterizing one, and export the single-process
+// bytes, for n in {1, 3} at two worker counts (the run at a third). A
+// repeat run over the same cache resumes the characterize stage.
 func TestShardMergeByteIdentical(t *testing.T) {
 	reg := miniRegistry(t)
 	ref, err := Run(reg, miniConfig(), nil)
@@ -63,8 +65,6 @@ func TestShardMergeByteIdentical(t *testing.T) {
 	for _, n := range []int{1, 3} {
 		for _, workers := range []int{1, 4} {
 			cacheDir := t.TempDir()
-			// Worker half: one EncodeShard invocation per shard, like
-			// `phasechar -shard i/n shard` in n processes.
 			for i := 0; i < n; i++ {
 				cfg := miniConfig()
 				cfg.Workers = workers
@@ -74,40 +74,53 @@ func TestShardMergeByteIdentical(t *testing.T) {
 					t.Fatal(err)
 				}
 				if info.Resumed {
-					t.Fatalf("shard %d/%d claimed an artifact in a cold cache", i, n)
+					t.Fatalf("shard %d/%d claimed cached vectors in a cold cache", i, n)
 				}
 				if info.UniqueIntervals == 0 {
 					t.Fatalf("shard %d/%d characterized nothing", i, n)
 				}
 			}
-			// Merge half, twice over the same cache: the first merge reads
-			// the fresh shard artifacts, the repeat reads them again.
 			for _, state := range []string{"first", "repeat"} {
-				ctx := fmt.Sprintf("%d shards, %d workers, %s merge", n, workers, state)
+				ctx := fmt.Sprintf("%d shards, %d workers, %s run", n, workers, state)
 				cfg := miniConfig()
-				cfg.Workers = 5 - workers // merge at a different parallelism than the shards
+				cfg.Workers = 5 - workers // run at a different parallelism than the shards
 				cfg.CacheDir = cacheDir
-				cfg.Shard = n
 				cfg.Metrics = obs.New()
-				got, err := Run(reg, cfg, nil)
+				res, err := Run(reg, cfg, nil)
 				if err != nil {
 					t.Fatalf("%s: %v", ctx, err)
 				}
-				datasetsBitIdentical(t, ref.Dataset, got.Dataset, ctx)
-				if !bytes.Equal(refJSON, exportJSON(t, got)) {
+				datasetsBitIdentical(t, ref.Dataset, res.Dataset, ctx)
+				if !bytes.Equal(refJSON, exportJSON(t, res)) {
 					t.Fatalf("%s: exported JSON differs from the single-process run", ctx)
 				}
-				if resumed := cfg.Metrics.Counter("engine.shards_resumed").Value(); resumed != int64(n) {
-					t.Fatalf("%s: served %d of %d shards from artifacts", ctx, resumed, n)
+				c := cfg.Metrics.Snapshot().Counters
+				if state == "repeat" {
+					if got := c["engine.resumed.characterize"]; got != 1 {
+						t.Fatalf("%s: engine.resumed.characterize = %d, want 1", ctx, got)
+					}
+					continue
 				}
+				if got := c["fcache.misses.vector"]; got != 0 {
+					t.Fatalf("%s: characterized %d intervals the shards had cached", ctx, got)
+				}
+				if got := c["fcache.hits.vector"]; got != int64(res.Dataset.UniqueIntervals) {
+					t.Fatalf("%s: fcache.hits.vector = %d, want %d unique intervals", ctx, got, res.Dataset.UniqueIntervals)
+				}
+			}
+			cfg := miniConfig()
+			cfg.CacheDir = cacheDir
+			if _, info, err := EncodeShard(reg, cfg, 0, n, nil); err != nil || !info.Resumed {
+				t.Fatalf("%d shards: repeated shard 0 = %+v, %v; want every vector cached", n, info, err)
 			}
 		}
 	}
 }
 
 // TestMergeComputesMissingShards drops one worker invocation from the
-// shard half and requires the merge run to compute the hole itself — a
-// partial shard fleet degrades to local work, never to failure.
+// shard fleet and requires the run after it to characterize exactly the
+// hole itself — a partial shard fleet degrades to local work, never to
+// failure.
 func TestMergeComputesMissingShards(t *testing.T) {
 	reg := miniRegistry(t)
 	ref, err := Run(reg, miniConfig(), nil)
@@ -126,21 +139,21 @@ func TestMergeComputesMissingShards(t *testing.T) {
 
 	cfg := miniConfig()
 	cfg.CacheDir = cacheDir
-	cfg.Shard = 3
 	cfg.Metrics = obs.New()
 	got, err := Run(reg, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resumed := cfg.Metrics.Counter("engine.shards_resumed").Value(); resumed != 2 {
-		t.Fatalf("engine.shards_resumed = %d, want the 2 prebuilt shards", resumed)
+	hole, err := planShard(reg, &cfg, 1, 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if computed := cfg.Metrics.Counter("engine.shards_computed").Value(); computed != 1 {
-		t.Fatalf("engine.shards_computed = %d, want the 1 missing shard", computed)
+	if misses := cfg.Metrics.Counter("fcache.misses.vector").Value(); misses != int64(len(hole.work)) {
+		t.Fatalf("fcache.misses.vector = %d, want shard 1's %d unique intervals", misses, len(hole.work))
 	}
 	datasetsBitIdentical(t, ref.Dataset, got.Dataset, "partial shard fleet")
 	if !bytes.Equal(exportJSON(t, ref), exportJSON(t, got)) {
-		t.Fatal("merge over a partial shard fleet changed the exported result")
+		t.Fatal("a run after a partial shard fleet changed the exported result")
 	}
 }
 
@@ -294,17 +307,11 @@ func TestTimelineResume(t *testing.T) {
 func TestShardArtifactRoundTrip(t *testing.T) {
 	reg := miniRegistry(t)
 	cfg := miniConfig()
-	cfg.CacheDir = t.TempDir()
-	cfg.Shard = 3
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	refs := SampleRefs(reg, cfg)
-	eng, err := newEngine(reg, cfg, refs, func(string, ...any) {})
+	p, err := planShard(reg, &cfg, 0, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	art := &coveredShard{work: eng.planShards(refs, 3)[0].work}
+	art := &coveredShard{work: p.work}
 	if _, err := art.compute(cfg, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -342,10 +349,5 @@ func TestShardValidation(t *testing.T) {
 		if _, _, err := EncodeShard(reg, miniConfig(), coords[0], coords[1], nil); err == nil {
 			t.Fatalf("out-of-range shard %d/%d encoded", coords[0], coords[1])
 		}
-	}
-	cfg := miniConfig()
-	cfg.Shard = 3
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("sharded run without a cache directory validated")
 	}
 }

@@ -4,29 +4,30 @@ package core
 // superset of the latest cached run's characterizes only what it adds.
 //
 // The cache cannot express "extend" with the standard key chain alone:
-// the unsharded shard key folds every benchmark's hash, so adding one
-// benchmark misses it even though almost every row is already
-// characterized. The bridge is a baseline manifest (fcache.KindBaseline),
-// one slot per sampling-parameter set: the roster (IDs, content hashes,
-// sampled row counts) of the last run whose unsharded characterize stage
-// computed. Extending is a lookup rule, not a mode:
+// the dataset key folds every benchmark's hash, so adding one benchmark
+// misses it even though almost every row is already characterized. The
+// bridge is a baseline manifest (fcache.KindBaseline), one slot per
+// sampling-parameter set: the roster (IDs, content hashes, sampled row
+// counts) of the last run whose characterize stage computed. Extending
+// is a lookup rule, not a mode:
 //
-//   - the stage looks its standard shard key up first; a hit loads the
-//     dataset and neither reads nor writes the manifest;
+//   - the stage looks its dataset key up first; a hit loads the dataset
+//     and neither reads nor writes the manifest;
 //   - on a miss its compute consults the manifest. When every baseline
 //     benchmark is still present with an identical content hash, it
-//     copies the baseline's rows out of the baseline's shard artifact and
-//     characterizes only the added benchmarks; otherwise (no manifest, a
-//     missing or changed benchmark) it characterizes every interval;
-//   - the computed shard is persisted under the standard key like any
-//     other, and the manifest is rewritten to describe it, so the next
-//     append chains onto this run.
+//     copies the baseline's rows out of the baseline's dataset artifact
+//     and characterizes only the added benchmarks; otherwise (no
+//     manifest, a missing or changed benchmark) it characterizes every
+//     interval through the vector tier;
+//   - the computed dataset is persisted under its key like any other
+//     artifact, and the manifest is rewritten to describe it, so the
+//     next append chains onto this run.
 //
 // The path is exact: a copied row is the stored output of the same
-// kernel, so the shard — and every analysis stage downstream of it — is
-// byte-identical to a cold run over the same roster. Cache trouble (a
-// baseline shard that cannot be served) recomputes cold and is counted;
-// it never fails the run.
+// kernel, so the dataset — and every analysis stage downstream of it —
+// is byte-identical to a cold run over the same roster. Cache trouble
+// (a baseline dataset that cannot be served) recomputes cold and is
+// counted; it never fails the run.
 
 import (
 	"encoding/binary"
@@ -46,7 +47,7 @@ type manifestBench struct {
 	rows int
 }
 
-// baselineManifest describes the latest unsharded dataset computed under
+// baselineManifest describes the latest dataset computed under
 // one set of sampling parameters. It is keyed by the parameter fold alone
 // (last write wins), so "the baseline" is always the most recent one.
 type baselineManifest struct {
@@ -178,33 +179,27 @@ func (e *engine) planDelta() *deltaPlan {
 	return &deltaPlan{man: man, newBench: newBench}
 }
 
-// baselineShardKey re-derives the key of the baseline's shard artifact
-// from the manifest: the unsharded shard key folds the member benchmarks'
+// baselineKey re-derives the key of the baseline's dataset artifact
+// from the manifest: the dataset key folds the member benchmarks'
 // hashes in registry order over the (shared) parameter fold.
-func (e *engine) baselineShardKey(man *baselineManifest) fcache.Key {
+func (e *engine) baselineKey(man *baselineManifest) fcache.Key {
 	h := e.keys.params
 	for i := range man.benches {
 		h = foldHash(h, man.benches[i].hash)
 	}
-	return fcache.Key{
-		Kind:     fcache.KindShard,
-		Version:  artifactVersion(),
-		Behavior: h,
-		Seed:     1, // shard 0 of 1
-		Length:   int64(man.rows),
-	}
+	return characterizeKey(h, man.rows)
 }
 
-// computeUnsharded fills the unsharded shard art (plan p) after its
-// standard key missed: it extends the baseline when one applies and
+// extendOrCompute fills the dataset artifact art (sampled rows refs)
+// after its key missed: it extends the baseline when one applies and
 // characterizes every interval otherwise. It returns the cache hits —
 // copied baseline rows count as hits — and whether the delta path served.
-func (e *engine) computeUnsharded(p shardPlan, art *coveredShard) (int, bool, error) {
+func (e *engine) extendOrCompute(refs []IntervalRef, art *coveredShard) (int, bool, error) {
 	plan := e.planDelta()
 	if plan == nil {
 		e.cfg.Metrics.Add("engine.delta_inapplicable", 1)
 	} else {
-		hits, ok, err := e.characterizeDelta(plan, p, art)
+		hits, ok, err := e.characterizeDelta(plan, refs, art)
 		if err != nil || ok {
 			return hits, ok, err
 		}
@@ -215,16 +210,16 @@ func (e *engine) computeUnsharded(p shardPlan, art *coveredShard) (int, bool, er
 }
 
 // characterizeDelta is the exact extend-dataset path: it copies the
-// baseline rows out of the baseline's shard artifact, characterizes only
-// the appended benchmarks' intervals, and fills art in work order.
-// ok=false (without error) means the baseline shard could not serve the
-// rows the plan needs and the caller must characterize cold.
-func (e *engine) characterizeDelta(plan *deltaPlan, p shardPlan, art *coveredShard) (int, bool, error) {
-	span := e.cfg.Metrics.StartSpan("characterize.delta").SetRows(len(p.refs)).SetDelta(true)
+// baseline rows out of the baseline's dataset artifact, characterizes
+// only the appended benchmarks' intervals, and fills art in work order.
+// ok=false (without error) means the baseline artifact could not serve
+// the rows the plan needs and the caller must characterize cold.
+func (e *engine) characterizeDelta(plan *deltaPlan, refs []IntervalRef, art *coveredShard) (int, bool, error) {
+	span := e.cfg.Metrics.StartSpan("characterize.delta").SetRows(len(refs)).SetDelta(true)
 	defer span.End()
 	base := &shardArtifact{}
-	if !e.cache.GetBinary(e.baselineShardKey(plan.man), base) {
-		e.logf("incremental: baseline shard unavailable, characterizing cold")
+	if !e.cache.GetBinary(e.baselineKey(plan.man), base) {
+		e.logf("incremental: baseline dataset unavailable, characterizing cold")
 		return 0, false, nil
 	}
 	type ik struct {
@@ -250,7 +245,7 @@ func (e *engine) characterizeDelta(plan *deltaPlan, p shardPlan, art *coveredSha
 		}
 		v, found := vecs[ik{r.Bench.ID(), r.Index}]
 		if !found {
-			e.logf("incremental: baseline shard is missing interval %s, characterizing cold", r)
+			e.logf("incremental: baseline dataset is missing interval %s, characterizing cold", r)
 			return 0, false, nil
 		}
 		rows[i] = v
@@ -276,15 +271,15 @@ func (e *engine) characterizeDelta(plan *deltaPlan, p shardPlan, art *coveredSha
 	return reused + hits, true, nil
 }
 
-// writeManifest records the just-computed unsharded dataset (plan p) as
-// the baseline for its sampling parameters. A failed write is counted
+// writeManifest records the just-computed dataset (sampled rows refs)
+// as the baseline for its sampling parameters. A failed write is counted
 // and logged: it only costs the next append its delta path.
-func (e *engine) writeManifest(p shardPlan) {
+func (e *engine) writeManifest(refs []IntervalRef) {
 	rowsOf := make(map[*bench.Benchmark]int, e.reg.Len())
-	for _, r := range p.refs {
+	for _, r := range refs {
 		rowsOf[r.Bench]++
 	}
-	man := &baselineManifest{rows: len(p.refs)}
+	man := &baselineManifest{rows: len(refs)}
 	for i, b := range e.reg.All() {
 		man.benches = append(man.benches, manifestBench{id: b.ID(), hash: e.keys.bench[i], rows: rowsOf[b]})
 	}

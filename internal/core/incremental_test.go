@@ -207,7 +207,7 @@ func TestIncrementalMissingBaselineShardRunsCold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng.cache.Discard(eng.baselineShardKey(readManifest(t, reg, cfg)))
+	eng.cache.Discard(eng.baselineKey(readManifest(t, reg, cfg)))
 
 	m := obs.New()
 	cfg.Metrics = m
@@ -226,32 +226,45 @@ func TestIncrementalMissingBaselineShardRunsCold(t *testing.T) {
 	}
 }
 
-// TestShardedRunSkipsBaseline: the manifest describes one unsharded
-// dataset, so a merge run neither consults nor rewrites it.
-func TestShardedRunSkipsBaseline(t *testing.T) {
+// TestShardWorkersFeedDeltaRun: shard workers leave interval vectors,
+// not a dataset of their own, so the run after them takes the path any
+// cached run takes — here the delta path over a sub-roster baseline,
+// reading the added benchmark's intervals from the workers' vectors.
+func TestShardWorkersFeedDeltaRun(t *testing.T) {
 	reg := miniRegistry(t)
 	sub := subRegistry(t, reg, "f2")
 	cfg := appendConfig()
+	cold, err := Run(reg, cfg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cfg.CacheDir = t.TempDir()
 	if _, err := Run(sub, cfg, nil); err != nil {
 		t.Fatal(err)
 	}
+	for i := 0; i < 2; i++ {
+		if _, _, err := EncodeShard(reg, cfg, i, 2, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
 
 	m := obs.New()
-	merge := cfg
-	merge.Metrics = m
-	merge.Shard = 2
-	if _, err := Run(reg, merge, nil); err != nil {
+	cfg.Metrics = m
+	res, err := Run(reg, cfg, nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := m.Counter("fcache.hits.baseline").Value() + m.Counter("fcache.misses.baseline").Value(); got != 0 {
-		t.Fatalf("merge run looked the manifest up %d times", got)
+	if got := m.Counter("engine.delta.characterize").Value(); got != 1 {
+		t.Fatalf("engine.delta.characterize = %d, want 1", got)
 	}
-	if got := m.Counter("engine.delta.characterize").Value(); got != 0 {
-		t.Fatalf("engine.delta.characterize = %d, want 0 for a merge run", got)
+	if got := m.Counter("fcache.misses.vector").Value(); got != 0 {
+		t.Fatalf("fcache.misses.vector = %d, want 0 (the shard workers cached every interval)", got)
 	}
-	if man := readManifest(t, reg, cfg); man == nil || len(man.benches) != sub.Len() {
-		t.Fatalf("merge run rewrote the manifest to %+v", man)
+	if man := readManifest(t, reg, cfg); man == nil || len(man.benches) != reg.Len() {
+		t.Fatalf("run left manifest %+v, want the %d-benchmark roster", man, reg.Len())
+	}
+	if !bytes.Equal(exportJSON(t, cold), exportJSON(t, res)) {
+		t.Fatal("run after the shard workers differs from the cold run")
 	}
 }
 

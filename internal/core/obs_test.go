@@ -2,9 +2,6 @@ package core
 
 import (
 	"bytes"
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"repro/internal/bench"
@@ -23,23 +20,13 @@ func TestRunReport(t *testing.T) {
 	}
 	cfg := TestConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.ReportPath = filepath.Join(t.TempDir(), "report.json")
-	// Leave cfg.Metrics nil: Validate must create the collector when a
-	// report is requested.
+	cfg.Metrics = obs.New()
 
 	res, err := Run(reg, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	buf, err := os.ReadFile(cfg.ReportPath)
-	if err != nil {
-		t.Fatalf("run report not written: %v", err)
-	}
-	var rep obs.Report
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		t.Fatalf("run report is not valid JSON: %v", err)
-	}
+	rep := cfg.Metrics.Snapshot()
 
 	spans := map[string]obs.SpanRecord{}
 	var sum float64
@@ -92,7 +79,6 @@ func TestRunReport(t *testing.T) {
 	warmCfg := cfg
 	warmCfg.SamplesPerBenchmark = cfg.SamplesPerBenchmark / 2
 	warmCfg.Metrics = obs.New()
-	warmCfg.ReportPath = filepath.Join(t.TempDir(), "warm.json")
 	warm, err := Run(reg, warmCfg, nil)
 	if err != nil {
 		t.Fatal(err)

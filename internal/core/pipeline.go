@@ -96,11 +96,11 @@ type Result struct {
 // Run executes the full methodology over the registry's benchmarks as a
 // sequence of engine stages (sample → characterize → pca → scores →
 // kmeans → prominent; see engine.go). logf, if non-nil, receives
-// progress lines. With cfg.Shard > 1 the characterize stage merges
-// per-shard dataset artifacts; with a cache, every stage whose artifact
-// is present and valid is loaded instead of recomputed, and an unsharded
-// characterization that misses extends the latest cached roster it is a
-// superset of. Every path produces results byte-identical to the plain
+// progress lines. With a cache, every stage whose artifact is present
+// and valid is loaded instead of recomputed; a characterization that
+// misses extends the latest cached roster it is a superset of, and
+// otherwise reads every interval vector already cached, whoever
+// computed it. Every path produces results byte-identical to the plain
 // in-process run.
 func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any)) (*Result, error) {
 	start := time.Now()
@@ -211,12 +211,6 @@ func Run(reg *bench.Registry, cfg Config, logf func(format string, args ...any))
 	res.Elapsed = time.Since(start)
 	logf("top-%d prominent phases cover %.1f%% of the workload (%.1fs)",
 		len(res.Prominent), 100*res.ProminentCoverage(), res.Elapsed.Seconds())
-	if cfg.ReportPath != "" {
-		if err := cfg.Metrics.WriteReport(cfg.ReportPath); err != nil {
-			return nil, fmt.Errorf("core: run report: %w", err)
-		}
-		logf("wrote run report %s", cfg.ReportPath)
-	}
 	return res, nil
 }
 

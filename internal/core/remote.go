@@ -1,14 +1,16 @@
 package core
 
-// Shard entry points: the pieces of the engine that work on one shard
-// of a sharded run, in a process other than the merge run. A worker —
-// `phasechar -shard i/n shard` sharing the merge run's cache directory,
-// or a shardnet server across a machine boundary — characterizes one
-// shard and encodes its artifact (EncodeShard); a networked coordinator
-// verifies the shipped bytes against its own registry and configuration
-// and stores them through the ordinary fcache shard kind
-// (PutShardArtifact), so a networked run and a local run share one cache
-// and one merge path — and therefore one byte-identical result.
+// Shard entry points: characterizing one shard of the sampled dataset
+// outside the run that analyzes it. A worker — `phasechar -shard i/n
+// shard` sharing the run's cache directory, or a shardnet server across
+// a machine boundary — characterizes its shard through the interval-
+// vector tier and encodes the shard artifact for the wire (EncodeShard);
+// a networked coordinator verifies the shipped bytes against its own
+// registry and configuration and stores the verified rows as interval
+// vectors (PutShardArtifact). Either way the vectors land where an
+// ordinary cached Run reads them, so a run after any shard fleet takes
+// the one characterize path — and therefore exports the one
+// byte-identical result.
 
 import (
 	"fmt"
@@ -28,7 +30,7 @@ func ShardArtifactVersion() uint32 { return artifactVersion() }
 // bit-identical shard artifacts, so the hash is exchanged on every
 // shard RPC to detect registry or configuration divergence.
 func DatasetHash(reg *bench.Registry, cfg Config) (uint64, error) {
-	cfg.Shard, cfg.CacheDir = 0, ""
+	cfg.CacheDir = ""
 	if err := cfg.Validate(); err != nil {
 		return 0, err
 	}
@@ -47,61 +49,87 @@ type ShardInfo struct {
 	UniqueIntervals int
 	// Instructions is the shard's characterized instruction total.
 	Instructions uint64
-	// Resumed reports that a valid artifact was already present and the
-	// shard was not recomputed.
+	// Resumed reports that every interval vector of the shard was
+	// already cached, so nothing was characterized.
 	Resumed bool
 }
 
-// shardInfo summarizes shard plan p holding art.
-func shardInfo(p shardPlan, art *coveredShard, resumed bool) *ShardInfo {
+// shardPlan is one shard's slice of the sampled dataset.
+type shardPlan struct {
+	index, count int
+	// benches and refs count the shard's registry benchmarks and
+	// sampled rows.
+	benches, refs int
+	// work are the shard's distinct intervals in first-appearance order:
+	// the rows of its artifact.
+	work []IntervalRef
+}
+
+// planShard validates cfg and the shard coordinates and plans shard
+// index of count: registry benchmark i belongs to shard i % count. The
+// partition depends only on the registry order and the count, never on
+// workers or cache state, so every process plans identically, and all
+// sampled rows of one benchmark land in one shard.
+func planShard(reg *bench.Registry, cfg *Config, index, count int) (shardPlan, error) {
+	if err := cfg.Validate(); err != nil {
+		return shardPlan{}, err
+	}
+	if index < 0 || index >= count {
+		return shardPlan{}, fmt.Errorf("core: shard index %d outside [0,%d)", index, count)
+	}
+	if reg.Len() == 0 {
+		return shardPlan{}, fmt.Errorf("core: empty benchmark registry")
+	}
+	p := shardPlan{index: index, count: count}
+	member := make(map[*bench.Benchmark]bool)
+	for i, b := range reg.All() {
+		if i%count == index {
+			member[b] = true
+		}
+	}
+	var refs []IntervalRef
+	for _, r := range SampleRefs(reg, *cfg) {
+		if member[r.Bench] {
+			refs = append(refs, r)
+		}
+	}
+	p.benches, p.refs = len(member), len(refs)
+	p.work, _ = dedupRefs(refs)
+	return p, nil
+}
+
+// info summarizes the plan holding art.
+func (p shardPlan) info(art *coveredShard, resumed bool) *ShardInfo {
 	return &ShardInfo{
 		Index:           p.index,
 		Count:           p.count,
-		Benchmarks:      len(p.benches),
-		Refs:            len(p.refs),
+		Benchmarks:      p.benches,
+		Refs:            p.refs,
 		UniqueIntervals: art.uniqueCount(),
 		Instructions:    art.instructions,
 		Resumed:         resumed,
 	}
 }
 
-// planShard validates cfg and the shard coordinates and plans shard
-// index of count over the sampled dataset, returning the engine the
-// caller runs it with. A nil logf discards the engine's progress lines.
-func planShard(reg *bench.Registry, cfg Config, index, count int, logf func(string, ...any)) (*engine, shardPlan, error) {
-	if logf == nil {
-		logf = func(string, ...any) {}
-	}
-	if err := cfg.Validate(); err != nil {
-		return nil, shardPlan{}, err
-	}
-	if index < 0 || index >= count {
-		return nil, shardPlan{}, fmt.Errorf("core: shard index %d outside [0,%d)", index, count)
-	}
-	if reg.Len() == 0 {
-		return nil, shardPlan{}, fmt.Errorf("core: empty benchmark registry")
-	}
-	refs := SampleRefs(reg, cfg)
-	eng, err := newEngine(reg, cfg, refs, logf)
-	if err != nil {
-		return nil, shardPlan{}, err
-	}
-	return eng, eng.planShards(refs, count)[index], nil
-}
-
 // EncodeShard characterizes shard index of count of the sampled dataset
 // and returns the encoded shard artifact — the worker half of a sharded
-// run. With cfg.CacheDir set the shard goes through the cache like any
-// stage: a valid artifact already there is served (Resumed), and a
-// computed one is persisted for the merge run to load. Without a cache
-// directory a stateless worker computes the shard in memory and ships
-// the bytes.
+// characterization. With cfg.CacheDir set the shard goes through the
+// vector tier like any characterization: cached vectors are read, the
+// rest are computed and stored, where a later Run over the same cache
+// reads them. Without a cache directory a stateless worker computes the
+// shard in memory. The artifact is encoded for the wire only; it is
+// never stored. A nil logf discards the progress line.
 func EncodeShard(reg *bench.Registry, cfg Config, index, count int, logf func(string, ...any)) ([]byte, *ShardInfo, error) {
-	eng, p, err := planShard(reg, cfg, index, count, logf)
+	p, err := planShard(reg, &cfg, index, count)
 	if err != nil {
 		return nil, nil, err
 	}
-	art, mode, _, err := eng.loadOrComputeShard(p)
+	cache, err := openCache(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	art := &coveredShard{work: p.work}
+	hits, err := art.compute(cfg, cache)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -109,22 +137,25 @@ func EncodeShard(reg *bench.Registry, cfg Config, index, count int, logf func(st
 	if err != nil {
 		return nil, nil, err
 	}
-	return payload, shardInfo(p, art, mode == "resumed"), nil
+	if logf != nil {
+		logf("shard %d/%d: %d of %d interval vectors were cached", index, count, hits, len(p.work))
+	}
+	return payload, p.info(art, hits == len(p.work)), nil
 }
 
 // PutShardArtifact verifies an encoded shard artifact for shard index of
-// count against the local registry and configuration and stores it in
-// cfg.CacheDir under the shard's content-addressed key — the coordinator
-// half of a distributed run. Verification is strict: the payload must
-// decode under the current schema version and must hold exactly the
-// intervals the local shard plan expects, in plan order. A payload that
-// fails is rejected (the shard stays uncached and the merge run
-// recomputes it locally); it is never stored.
+// count against the local registry and configuration and stores its
+// rows in cfg.CacheDir as interval vectors — the coordinator half of a
+// distributed run. Verification is strict: the payload must decode under
+// the current schema version and must hold exactly the intervals the
+// local shard plan expects, in plan order. A payload that fails is
+// rejected (its intervals stay uncached and the run characterizes them
+// locally); nothing of it is stored.
 func PutShardArtifact(reg *bench.Registry, cfg Config, index, count int, payload []byte) (*ShardInfo, error) {
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("core: storing a shard artifact needs a cache directory")
 	}
-	eng, p, err := planShard(reg, cfg, index, count, nil)
+	p, err := planShard(reg, &cfg, index, count)
 	if err != nil {
 		return nil, err
 	}
@@ -132,12 +163,15 @@ func PutShardArtifact(reg *bench.Registry, cfg Config, index, count int, payload
 	if err := art.UnmarshalBinary(payload); err != nil {
 		return nil, fmt.Errorf("core: shard %d/%d artifact rejected: %w", index, count, err)
 	}
-	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
-	// Store the payload bytes as received: the codec round-trips
-	// bit-identically, and keeping the wire bytes means the cache entry
-	// checksum covers exactly what the worker produced.
-	if err := eng.cache.Put(key, payload); err != nil {
+	cache, err := openCache(cfg)
+	if err != nil {
 		return nil, err
 	}
-	return shardInfo(p, art, false), nil
+	for i, r := range p.work {
+		key := VectorKey(r.Bench.BehaviorAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index), cfg.IntervalLength)
+		if err := cache.PutVector(key, art.rows[i]); err != nil {
+			return nil, err
+		}
+	}
+	return p.info(art, false), nil
 }

@@ -13,9 +13,9 @@ func noLog(string, ...any) {}
 
 // TestEncodePutRoundTrip moves both shards of a 2-shard run through the
 // remote path — EncodeShard on a cacheless "worker", PutShardArtifact on
-// the "coordinator" — and pins that the merge run resumes every shard
-// from the transferred artifacts and matches the plain run byte for
-// byte.
+// the "coordinator" — and pins that the plain run after it reads every
+// interval from the transferred vectors and matches the plain cacheless
+// run byte for byte.
 func TestEncodePutRoundTrip(t *testing.T) {
 	reg := miniRegistry(t)
 	plain, err := Run(reg, miniConfig(), nil)
@@ -26,7 +26,6 @@ func TestEncodePutRoundTrip(t *testing.T) {
 
 	cfg := miniConfig()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = 2
 	for s := 0; s < 2; s++ {
 		// The worker is stateless: no cache directory.
 		payload, info, err := EncodeShard(reg, miniConfig(), s, 2, noLog)
@@ -48,13 +47,13 @@ func TestEncodePutRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := exportJSON(t, res); !bytes.Equal(got, want) {
-		t.Error("merge over transferred shards differs from plain run")
+		t.Error("run over transferred shards differs from plain run")
 	}
-	if got := m.Counter("engine.shards_computed").Value(); got != 0 {
-		t.Errorf("engine.shards_computed = %d, want 0 (all shards transferred)", got)
+	if got := m.Counter("fcache.misses.vector").Value(); got != 0 {
+		t.Errorf("fcache.misses.vector = %d, want 0 (all shards transferred)", got)
 	}
-	if got := m.Counter("engine.shards_resumed").Value(); got != 2 {
-		t.Errorf("engine.shards_resumed = %d, want 2", got)
+	if got := m.Counter("fcache.hits.vector").Value(); got != int64(res.Dataset.UniqueIntervals) {
+		t.Errorf("fcache.hits.vector = %d, want %d unique intervals", got, res.Dataset.UniqueIntervals)
 	}
 }
 
@@ -87,12 +86,12 @@ func TestPutShardArtifactRejects(t *testing.T) {
 	}
 }
 
-// TestStaleShardArtifactRecomputes plants a shard artifact whose payload
-// carries an older schema version under the current cache key — what an
-// out-of-date worker binary would produce — and pins that the merge run
-// detects it, recomputes the shard, and still matches the plain run.
-// Before shard payloads became self-describing this was undetectable
-// through the key alone.
+// TestStaleShardArtifactRecomputes plants a dataset artifact whose
+// payload carries an older schema version under the run's current
+// dataset key — what an out-of-date writer would leave — and pins that
+// the run discards it, recomputes the dataset, and still matches the
+// plain run. Before artifact payloads became self-describing this was
+// undetectable through the key alone.
 func TestStaleShardArtifactRecomputes(t *testing.T) {
 	reg := miniRegistry(t)
 	plain, err := Run(reg, miniConfig(), nil)
@@ -101,31 +100,27 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 	}
 	want := exportJSON(t, plain)
 
-	cfg := miniConfig()
-	cfg.CacheDir = t.TempDir()
-	cfg.Shard = 2
-	payload, _, err := EncodeShard(reg, cfg, 0, 2, noLog)
+	// Shard 0 of 1 is the whole dataset in the run's row order.
+	payload, _, err := EncodeShard(reg, miniConfig(), 0, 1, noLog)
 	if err != nil {
 		t.Fatal(err)
 	}
 	stale := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(stale, artifactVersion()-1)
 
-	// Plant the stale payload at the shard's current content-addressed
-	// key, bypassing PutShardArtifact's verification the way a buggy or
-	// out-of-date writer would.
+	// Plant it under the run's dataset key, bypassing every writer that
+	// verifies, the way a buggy or out-of-date one would.
+	cfg := miniConfig()
+	cfg.CacheDir = t.TempDir()
 	vcfg := cfg
 	if err := vcfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	refs := SampleRefs(reg, vcfg)
-	eng, err := newEngine(reg, vcfg, refs, noLog)
+	eng, err := newEngine(reg, vcfg, SampleRefs(reg, vcfg), noLog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := eng.planShards(refs, 2)[0]
-	key := eng.keys.shardKey(p.index, p.count, p.benches, len(p.refs))
-	if err := eng.cache.Put(key, stale); err != nil {
+	if err := eng.cache.Put(eng.characterizeKey(), stale); err != nil {
 		t.Fatal(err)
 	}
 
@@ -133,15 +128,15 @@ func TestStaleShardArtifactRecomputes(t *testing.T) {
 	cfg.Metrics = m
 	res, err := Run(reg, cfg, nil)
 	if err != nil {
-		t.Fatalf("merge over stale shard artifact: %v", err)
+		t.Fatalf("run over stale dataset artifact: %v", err)
 	}
 	if got := exportJSON(t, res); !bytes.Equal(got, want) {
 		t.Error("recomputed run differs from plain run")
 	}
 	if got := m.Counter("fcache.corrupt_deleted").Value(); got != 1 {
-		t.Errorf("fcache.corrupt_deleted = %d, want 1 (the stale shard entry)", got)
+		t.Errorf("fcache.corrupt_deleted = %d, want 1 (the stale dataset entry)", got)
 	}
-	if got := m.Counter("engine.shards_computed").Value(); got != 2 {
-		t.Errorf("engine.shards_computed = %d, want 2 (the stale shard and the missing one)", got)
+	if got := m.Counter("engine.computed.characterize").Value(); got != 1 {
+		t.Errorf("engine.computed.characterize = %d, want 1", got)
 	}
 }

@@ -65,8 +65,9 @@ const (
 	KindVector uint16 = 1
 	// KindTrace is an encoded binary instruction trace.
 	KindTrace uint16 = 2
-	// KindShard is a characterized dataset shard: the unique interval
-	// vectors of one deterministic subset of the benchmark registry.
+	// KindShard is a characterized dataset: the unique interval vectors
+	// of a run's sampled rows, in the shard artifact format shard
+	// workers also send over the wire.
 	KindShard uint16 = 3
 	// KindPCA is a fitted principal-components model.
 	KindPCA uint16 = 4

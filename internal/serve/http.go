@@ -163,6 +163,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, fmt.Sprintf("job is %s; only queued jobs can be cancelled", st.State), http.StatusConflict)
 		return
 	}
+	s.retire(j)
 	s.jobsCancel.Inc()
 	st, _ := j.status()
 	writeJSON(w, http.StatusOK, st)

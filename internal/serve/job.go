@@ -166,6 +166,11 @@ type job struct {
 	id     string
 	tenant string
 	spec   JobSpec
+	// reg and cfg are the run submit built from spec, kept so the job
+	// is built once; both are dropped when the job ends. Only the worker
+	// that started the job reads them.
+	reg *bench.Registry
+	cfg core.Config
 
 	mu        sync.Mutex
 	state     State
@@ -179,9 +184,9 @@ type job struct {
 	changed chan struct{}
 }
 
-func newJob(id, tenant string, spec JobSpec) *job {
+func newJob(id, tenant string, spec JobSpec, reg *bench.Registry, cfg core.Config) *job {
 	return &job{
-		id: id, tenant: tenant, spec: spec,
+		id: id, tenant: tenant, spec: spec, reg: reg, cfg: cfg,
 		state:     StateQueued,
 		submitted: time.Now(),
 		changed:   make(chan struct{}),
@@ -220,20 +225,29 @@ func (j *job) start() bool {
 	return true
 }
 
-// finish lands the job in a terminal state with its result or error.
-// A job that is already terminal is left untouched: terminal states are
-// write-once, so a failure path racing a cancel cannot flap the state.
-func (j *job) finish(state State, result []byte, err error) {
+// finish lands the job in a terminal state with its result or error
+// and reports whether it did. A job that is already terminal is left
+// untouched (false): terminal states are write-once, so a failure path
+// racing a cancel cannot flap the state.
+func (j *job) finish(state State, result []byte, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
-		return
+		return false
 	}
 	j.state = state
 	j.result = result
 	if err != nil {
 		j.errText = err.Error()
 	}
+	j.endLocked()
+	return true
+}
+
+// endLocked stamps the terminal transition, drops the built run and
+// wakes every watcher. Caller holds j.mu.
+func (j *job) endLocked() {
+	j.reg, j.cfg = nil, core.Config{}
 	j.finished = time.Now()
 	j.signalLocked()
 }
@@ -248,8 +262,7 @@ func (j *job) cancelQueued() bool {
 		return false
 	}
 	j.state = StateCancelled
-	j.finished = time.Now()
-	j.signalLocked()
+	j.endLocked()
 	return true
 }
 

@@ -23,6 +23,10 @@
 //	GET  /metrics            the live obs run report (queue depth,
 //	                         admission rejects, cache traffic,
 //	                         per-endpoint latency histograms)
+//
+// The service remembers the maxEndedJobs most recently ended jobs; the
+// ID of an older one answers 404 on every /jobs endpoint, like an
+// unknown ID, so clients fetch a result when its job ends.
 package serve
 
 import (
@@ -38,6 +42,14 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/obs"
 )
+
+// maxEndedJobs bounds how many ended (done, failed or cancelled) jobs
+// the service remembers. When one more job ends, the oldest ended job is
+// forgotten and its ID answers 404 like an unknown one, so the job table
+// of a long-lived service stops growing; queued and running jobs are
+// never forgotten. Every client in the repo fetches a result as soon as
+// its job ends.
+const maxEndedJobs = 256
 
 // Config shapes one service instance.
 type Config struct {
@@ -92,6 +104,7 @@ type Server struct {
 
 	mu     sync.Mutex
 	jobs   map[string]*job
+	ended  []string // IDs of the ended jobs in jobs, oldest first
 	nextID int64
 
 	workers  sync.WaitGroup
@@ -172,9 +185,11 @@ func (s *Server) logf(format string, args ...any) {
 // submit validates, admits and enqueues a job. The error carries an
 // HTTP status via submitError.
 func (s *Server) submit(tenant string, spec JobSpec) (*job, error) {
-	// Validate up front: a spec that cannot build must 400 at
-	// submission, not park in the queue to fail minutes later.
-	if _, _, err := spec.build(); err != nil {
+	// Build up front: a spec that cannot build must 400 at submission,
+	// not park in the queue to fail minutes later, and the job runs what
+	// was built here.
+	reg, cfg, err := spec.build()
+	if err != nil {
 		return nil, &submitError{status: http.StatusBadRequest, err: err}
 	}
 	if ok, retry := s.quotas.admit(tenant, time.Now()); !ok {
@@ -185,7 +200,7 @@ func (s *Server) submit(tenant string, spec JobSpec) (*job, error) {
 
 	s.mu.Lock()
 	s.nextID++
-	j := newJob(fmt.Sprintf("j%08d", s.nextID), tenant, spec)
+	j := newJob(fmt.Sprintf("j%08d", s.nextID), tenant, spec, reg, cfg)
 	s.jobs[j.id] = j
 	s.mu.Unlock()
 
@@ -222,6 +237,26 @@ func (s *Server) lookup(id string) (*job, bool) {
 	return j, ok
 }
 
+// retire records that j has ended, forgetting the oldest ended job once
+// more than maxEndedJobs are remembered.
+func (s *Server) retire(j *job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.ended = append(s.ended, j.id)
+	if len(s.ended) > maxEndedJobs {
+		delete(s.jobs, s.ended[0])
+		s.ended = s.ended[1:]
+	}
+}
+
+// end lands j in a terminal state and retires it, unless it had already
+// ended.
+func (s *Server) end(j *job, state State, result []byte, err error) {
+	if j.finish(state, result, err) {
+		s.retire(j)
+	}
+}
+
 // workerLoop pulls queued jobs until the server closes.
 func (s *Server) workerLoop() {
 	defer s.workers.Done()
@@ -247,41 +282,39 @@ func (s *Server) runJob(j *job) {
 	}
 	defer func() {
 		if r := recover(); r != nil {
-			j.finish(StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r))
+			s.end(j, StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r))
 			s.jobsFailed.Inc()
 			s.logf("serve: job %s panicked: %v", j.id, r)
 		}
 	}()
 	t0 := time.Now()
-	payload, err := s.executeJob(j.spec)
+	payload, err := s.executeJob(j)
 	if err != nil {
-		j.finish(StateFailed, nil, err)
+		s.end(j, StateFailed, nil, err)
 		s.jobsFailed.Inc()
 		s.logf("serve: job %s failed: %v", j.id, err)
 		return
 	}
-	j.finish(StateDone, payload, nil)
+	s.end(j, StateDone, payload, nil)
 	s.jobsDone.Inc()
 	s.jobRuntime.Observe(time.Since(t0))
 	s.logf("serve: job %s done in %v (%d result bytes)", j.id, time.Since(t0).Round(time.Millisecond), len(payload))
 }
 
-// executeJob runs one spec through the pipeline and exports its JSON.
-func (s *Server) executeJob(spec JobSpec) ([]byte, error) {
+// executeJob runs a started job's built run through the pipeline and
+// exports its JSON.
+func (s *Server) executeJob(j *job) ([]byte, error) {
 	if s.cfg.execute != nil {
-		return s.cfg.execute(spec)
-	}
-	reg, cfg, err := spec.build()
-	if err != nil {
-		return nil, err
+		return s.cfg.execute(j.spec)
 	}
 	// The service fills in what the spec must not control: every job
 	// shares the service cache (so stage artifacts of earlier identical
 	// jobs answer repeat queries), and reports into the service
 	// collector.
+	cfg := j.cfg
 	cfg.CacheDir = s.cfg.CacheDir
 	cfg.Metrics = s.m
-	res, err := core.Run(reg, cfg, nil)
+	res, err := core.Run(j.reg, cfg, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -358,5 +359,65 @@ func TestServeGracefulShutdown(t *testing.T) {
 	defer s2.Close()
 	if err := s2.Serve(context.Background(), "256.0.0.1:bogus", nil); err == nil {
 		t.Fatal("bogus address should fail to bind")
+	}
+}
+
+// TestEndedJobsBounded drives more jobs than maxEndedJobs through the
+// service and requires the job table to stop growing at the bound: the
+// oldest ended job is forgotten (404, like an unknown ID) while a job
+// still running is kept however many others end around it.
+func TestEndedJobsBounded(t *testing.T) {
+	release := make(chan struct{})
+	var once sync.Once
+	unblock := func() { once.Do(func() { close(release) }) }
+	s, c := testServer(t, Config{
+		QueueDepth: 1, Workers: 2,
+		execute: func(spec JobSpec) ([]byte, error) {
+			if spec.Seed == 2 {
+				<-release
+			}
+			return []byte("{}"), nil
+		},
+	})
+	// Registered after the server's Close, so it runs first: a failing
+	// test still lets the blocked job finish and Close return.
+	t.Cleanup(unblock)
+	tableSize := func() int {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return len(s.jobs)
+	}
+
+	long, err := c.Submit(JobSpec{Seed: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	awaitState(t, c, long.ID, StateRunning)
+	var first string
+	for i := 0; i < maxEndedJobs+5; i++ {
+		st, err := c.Submit(JobSpec{})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+		if i == 0 {
+			first = st.ID
+		}
+		if _, err := c.Result(st.ID, true); err != nil {
+			t.Fatalf("result %d: %v", i, err)
+		}
+	}
+	if got := tableSize(); got != maxEndedJobs+1 {
+		t.Fatalf("job table holds %d jobs, want %d ended + 1 running", got, maxEndedJobs)
+	}
+	var se *StatusError
+	if _, err := c.Status(first); !errors.As(err, &se) || se.Code != 404 {
+		t.Fatalf("oldest ended job %s: err = %v, want HTTP 404", first, err)
+	}
+	awaitState(t, c, long.ID, StateRunning)
+
+	unblock()
+	awaitState(t, c, long.ID, StateDone)
+	if got := tableSize(); got != maxEndedJobs {
+		t.Fatalf("job table holds %d jobs after the last one ended, want %d", got, maxEndedJobs)
 	}
 }

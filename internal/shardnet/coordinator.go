@@ -7,10 +7,10 @@ package shardnet
 // worker's final failure reassigns its pending shards to the survivors —
 // or, when no workers remain, abandons them to local computation. Every
 // accepted shard artifact is verified (frame checksum, schema version,
-// dataset fingerprint, interval coverage) before it is stored through
-// the ordinary fcache shard kind, so the subsequent merge run reads
+// dataset fingerprint, interval coverage) before its rows are stored as
+// ordinary interval vectors, so the plain core.Run that follows reads
 // exactly what a single-process run would have computed. The invariant:
-// for any worker count and any fault schedule, the merged result is
+// for any worker count and any fault schedule, the result is
 // byte-identical to a local run. Retry timing (the jitter Seed) can
 // change how long a run takes, never its bytes.
 
@@ -45,6 +45,9 @@ type Coordinator struct {
 	// Workers are the worker base URLs ("http://host:port", as
 	// cliobs.ParseWorkers normalizes them).
 	Workers []string
+	// Shards is how many shards the characterization is split into
+	// (0 = one per worker).
+	Shards int
 	// Timeout is the per-request deadline (0 = 30s).
 	Timeout time.Duration
 	// Retries is how many extra attempts each worker gets per shard
@@ -208,12 +211,12 @@ func (d *dispatcher) kill(w, shard int) (reassigned, abandoned int) {
 	return reassigned, abandoned
 }
 
-// Distribute computes the cfg.Shard shards of (reg, cfg) on the
-// workers and stores every verified artifact in cfg.CacheDir. It returns
-// once all shards are settled — computed remotely or left for the merge
-// run to compute locally. A fully successful run leaves Local == 0; a
-// run that lost every worker leaves Local == Shards. Either way the
-// caller proceeds with core.Run unchanged.
+// Distribute computes the c.Shards shards of (reg, cfg) on the workers
+// and stores every verified artifact's rows in cfg.CacheDir as interval
+// vectors. It returns once all shards are settled — computed remotely
+// or left for the run to characterize locally. A fully successful run
+// leaves Local == 0; a run that lost every worker leaves Local ==
+// Shards. Either way the caller proceeds with core.Run unchanged.
 func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*DistributeStats, error) {
 	if len(c.Workers) == 0 {
 		return nil, fmt.Errorf("shardnet: no workers configured")
@@ -224,7 +227,10 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("shardnet: distributing shards needs a cache directory")
 	}
-	n := max(cfg.Shard, 1)
+	n := c.Shards
+	if n <= 0 {
+		n = len(c.Workers)
+	}
 	hash, err := core.DatasetHash(reg, cfg)
 	if err != nil {
 		return nil, err

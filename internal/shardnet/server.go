@@ -6,7 +6,7 @@ package shardnet
 // artifact schema version and dataset fingerprint all match the worker's
 // own (409), computes the shard through core.EncodeShard, and streams the
 // ShardResponse frame back. Workers are stateless by default; CacheDir
-// opts into persisting computed shards locally across requests.
+// opts into keeping computed interval vectors locally across requests.
 
 import (
 	"context"
@@ -32,7 +32,8 @@ type Server struct {
 	// Workers is the per-request compute parallelism (0 = GOMAXPROCS).
 	// It never influences shard bytes.
 	Workers int
-	// CacheDir, when set, persists computed shards across requests.
+	// CacheDir, when set, keeps computed interval vectors across
+	// requests.
 	CacheDir string
 	// Metrics receives rpc.served / rpc.refused counters and per-request
 	// spans. Nil disables instrumentation.

@@ -114,19 +114,20 @@ func startWorkers(t *testing.T, reg *bench.Registry, n, compute int) (urls, host
 	return urls, hosts
 }
 
-// distributedExport runs Distribute into a fresh cache, then the merge
-// run over it, returning the exported JSON and the distribution stats.
+// distributedExport runs Distribute over the given shard count into a
+// fresh cache, then a plain cached run over it, returning the exported
+// JSON and the distribution stats.
 func distributedExport(t *testing.T, reg *bench.Registry, cfg core.Config, shards int, coord *Coordinator) ([]byte, *DistributeStats) {
 	t.Helper()
 	cfg.CacheDir = t.TempDir()
-	cfg.Shard = shards
+	coord.Shards = shards
 	stats, err := coord.Distribute(reg, cfg)
 	if err != nil {
 		t.Fatalf("Distribute: %v", err)
 	}
 	res, err := core.Run(reg, cfg, nil)
 	if err != nil {
-		t.Fatalf("merge run: %v", err)
+		t.Fatalf("run after Distribute: %v", err)
 	}
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
@@ -138,7 +139,7 @@ func distributedExport(t *testing.T, reg *bench.Registry, cfg core.Config, shard
 // TestFaultMatrixByteIdentical is the distributed layer's load-bearing
 // invariant: for every fault schedule that leaves >= 0 workers alive —
 // transient 5xx, dropped connections, injected latency, corrupted
-// frames, hangs until deadline, and 0..W dead workers — the merged
+// frames, hangs until deadline, and 0..W dead workers — the run's
 // result is byte-identical to the single-process run, and the retry /
 // reassignment counters match exactly what the schedule implies.
 func TestFaultMatrixByteIdentical(t *testing.T) {
@@ -304,7 +305,7 @@ func TestDatasetMismatchFallsBackLocal(t *testing.T) {
 
 // TestJitterSeedDoesNotChangeBytes pins that retry pacing — different
 // jitter seeds and backoff shapes under the same fault schedule — never
-// leaks into the merged output.
+// leaks into the exported result.
 func TestJitterSeedDoesNotChangeBytes(t *testing.T) {
 	reg := testRegistry(t)
 	cfg := testConfig(t)
@@ -331,6 +332,22 @@ func TestJitterSeedDoesNotChangeBytes(t *testing.T) {
 		if !bytes.Equal(got, want) {
 			t.Errorf("export %d differs from plain run", i)
 		}
+	}
+}
+
+// TestDefaultShardsOnePerWorker pins the coordinator's zero shard
+// count: one shard per worker, which is what phasechar always runs.
+func TestDefaultShardsOnePerWorker(t *testing.T) {
+	reg := testRegistry(t)
+	cfg := testConfig(t)
+	want := plainExport(t, reg, cfg)
+	urls, _ := startWorkers(t, reg, 2, cfg.Workers)
+	got, stats := distributedExport(t, reg, cfg, 0, &Coordinator{Workers: urls})
+	if stats.Shards != 2 || stats.Remote != 2 {
+		t.Errorf("stats = %+v, want 2 shards, both remote", stats)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("export differs from plain run")
 	}
 }
 

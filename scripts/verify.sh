@@ -3,7 +3,7 @@
 # smoke tests of the benchmark module, the race detector over every
 # package (and 20 runs of the corpus's concurrent-query test at one and
 # four procs), short fuzz runs over every binary decoder, the
-# shard-merge/rerun-over-cache equivalence check on the quick pipeline, the
+# shard-worker/rerun-over-cache equivalence check on the quick pipeline, the
 # crash-recovery gate (a cached rerun after kill -9 mid-characterize does
 # not stall and exports the same bytes), the k-means pruning gate (the
 # quick export's distance-evaluation count under a ceiling), the GA gate
@@ -116,21 +116,34 @@ if [ "$allocs" -gt "$ALLOC_CEILING" ]; then
 fi
 echo "allocation gate: $allocs allocs/op <= $ALLOC_CEILING"
 
-echo "== shard-merge + rerun-over-cache equivalence (quick pipeline)"
-# The engine's load-bearing invariant, end to end through the CLI: a
-# 3-shard characterization merged by the analysis run, and an unsharded
-# rerun over the same cache, must both export byte-identically to the
-# plain single-process run — and the rerun's report must prove it reused
-# the cache (rather than silently recomputing): it generated no interval
-# (its unsharded dataset is new, so it assembles from the vector tier)
-# and resumed every analysis stage the merge run persisted.
+echo "== shard workers + rerun-over-cache equivalence (quick pipeline)"
+# The engine's load-bearing invariant, end to end through the CLI: after
+# a 3-shard fleet of workers sharing one cache, a plain cached run must
+# export byte-identically to the plain single-process run, and its report
+# must prove it read the fleet's work rather than silently recomputing:
+# it generated no interval and read one cached vector per row of its
+# characterize span. A rerun over the same cache must then resume every
+# stage, characterize included.
 go build -o "$tmp/phasechar" ./cmd/phasechar
 "$tmp/phasechar" -quick -quiet export > "$tmp/single.json"
 for i in 0 1 2; do
   "$tmp/phasechar" -quick -quiet -cache "$tmp/cache" -shard "$i/3" shard > /dev/null
 done
-"$tmp/phasechar" -quick -quiet -cache "$tmp/cache" -merge 3 export > "$tmp/merged.json"
-cmp "$tmp/single.json" "$tmp/merged.json"
+"$tmp/phasechar" -quick -quiet -cache "$tmp/cache" \
+  -report "$tmp/shard_report.json" export > "$tmp/sharded.json"
+cmp "$tmp/single.json" "$tmp/sharded.json"
+python3 - "$tmp/shard_report.json" <<'EOF'
+import json, sys
+
+rep = json.load(open(sys.argv[1]))
+c = rep["counters"]
+rows = [s.get("rows", 0) for s in rep["spans"] if s["stage"] == "characterize"]
+assert len(rows) == 1, f"want one characterize span, got {len(rows)}"
+assert c.get("fcache.misses.vector", 0) == 0, f"run after the shard workers generated {c['fcache.misses.vector']} intervals"
+hits = c.get("fcache.hits.vector", 0)
+assert hits == rows[0], f"fcache.hits.vector = {hits}, want the characterize span's {rows[0]} rows"
+print(f"shard gate: {hits} interval vectors read, none generated")
+EOF
 "$tmp/phasechar" -quick -quiet -cache "$tmp/cache" \
   -report "$tmp/rerun_report.json" export > "$tmp/resumed.json"
 cmp "$tmp/single.json" "$tmp/resumed.json"
@@ -139,10 +152,10 @@ import json, sys
 
 c = json.load(open(sys.argv[1]))["counters"]
 assert c.get("fcache.misses.vector", 0) == 0, f"rerun generated {c['fcache.misses.vector']} intervals"
-for stage in ("pca", "scores", "kmeans", "prominent"):
+for stage in ("characterize", "pca", "scores", "kmeans", "prominent"):
     got = c.get(f"engine.resumed.{stage}", 0)
     assert got == 1, f"rerun resumed {stage} {got} times, want 1: {sorted(k for k in c if k.startswith('engine.'))}"
-print("rerun gate: no interval generated; pca, scores, kmeans, prominent resumed")
+print("rerun gate: no interval generated; characterize, pca, scores, kmeans, prominent resumed")
 EOF
 
 echo "== crash-recovery gate (kill -9 mid-characterize, cached rerun)"
@@ -281,7 +294,7 @@ addrs="${addrs#,}"
 victim="$(echo "$WORKER_PIDS" | awk '{print $2}')"
 ( sleep 1; kill "$victim" 2>/dev/null ) &
 "$tmp/phasechar" -quick -quiet -cache "$tmp/dcache" \
-  -workers-addr "$addrs" -merge 6 -rpc-retries 2 \
+  -workers-addr "$addrs" -rpc-retries 2 \
   -rpc-faults "0:5xx,corrupt;2:delay" \
   -report distributed_report.json export > "$tmp/distributed.json"
 cmp "$tmp/single.json" "$tmp/distributed.json"
