@@ -143,10 +143,6 @@ func characterizeKey(dataset uint64, rows int) fcache.Key {
 	}
 }
 
-func (k *artifactKeys) characterizeKey() fcache.Key {
-	return characterizeKey(k.dataset, k.rows)
-}
-
 // pcaHash is the chain value for the fitted PCA model: it depends only on
 // the dataset (the model ignores retention thresholds).
 func (k *artifactKeys) pcaHash() uint64 {

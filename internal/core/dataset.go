@@ -68,6 +68,13 @@ func VectorKey(beh *trace.PhaseBehavior, seed uint64, length int) fcache.Key {
 	}
 }
 
+// vectorKey is VectorKey for interval r. The runs that read vectors and
+// the coordinator that stores shipped ones both key through it, so they
+// cannot drift apart.
+func vectorKey(r IntervalRef, length int) fcache.Key {
+	return VectorKey(r.Bench.BehaviorAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index), length)
+}
+
 // SampleRefs draws the per-benchmark interval sample. With
 // cfg.SampleByBenchmark (the paper's design) every benchmark contributes
 // exactly cfg.SamplesPerBenchmark rows, drawn with replacement from its
@@ -202,11 +209,9 @@ func characterizeUnique(stage string, work []IntervalRef, cfg Config, cache *fca
 	hitParts := make([]int, workers)
 	par.ForWorker(workers, len(work), func(w, i int) {
 		r := work[i]
-		beh := r.Bench.BehaviorAt(r.Index, r.Total)
-		seed := r.Bench.IntervalSeed(r.Index)
 		var key fcache.Key
 		if cache != nil {
-			key = VectorKey(beh, seed, cfg.IntervalLength)
+			key = vectorKey(r, cfg.IntervalLength)
 			if v, ok := cache.GetVector(key, mica.NumMetrics); ok {
 				vectors[i] = v
 				instrParts[w] += uint64(cfg.IntervalLength)
@@ -221,7 +226,8 @@ func characterizeUnique(stage string, work []IntervalRef, cfg Config, cache *fca
 			buffers[w] = make([]isa.Instruction, trace.DefaultBatchSize)
 		}
 		analyzer.Reset()
-		err := trace.GenerateIntervalBatches(beh, seed, cfg.IntervalLength, buffers[w], analyzer.RecordBatch)
+		err := trace.GenerateIntervalBatches(r.Bench.BehaviorAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index),
+			cfg.IntervalLength, buffers[w], analyzer.RecordBatch)
 		if err != nil {
 			errs[i] = fmt.Errorf("core: interval %s: %w", r, err)
 			return

@@ -68,7 +68,7 @@ func (e *engine) characterizeKey() fcache.Key {
 	if e.keys == nil {
 		return fcache.Key{}
 	}
-	return e.keys.characterizeKey()
+	return characterizeKey(e.keys.dataset, e.keys.rows)
 }
 
 func (e *engine) pcaKey() fcache.Key {

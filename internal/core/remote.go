@@ -16,6 +16,7 @@ import (
 	"fmt"
 
 	"repro/internal/bench"
+	"repro/internal/par"
 )
 
 // ShardArtifactVersion is the schema version of encoded shard artifacts
@@ -167,11 +168,15 @@ func PutShardArtifact(reg *bench.Registry, cfg Config, index, count int, payload
 	if err != nil {
 		return nil, err
 	}
-	for i, r := range p.work {
-		key := VectorKey(r.Bench.BehaviorAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index), cfg.IntervalLength)
-		if err := cache.PutVector(key, art.rows[i]); err != nil {
-			return nil, err
-		}
+	// One file per vector costs the filesystem's per-file create and
+	// rename, so the writes fan out over cfg.Workers like
+	// characterizeUnique's.
+	errs := make([]error, len(p.work))
+	par.For(cfg.Workers, len(p.work), func(i int) {
+		errs[i] = cache.PutVector(vectorKey(p.work[i], cfg.IntervalLength), art.rows[i])
+	})
+	if err := par.FirstError(errs); err != nil {
+		return nil, err
 	}
 	return p.info(art, false), nil
 }

@@ -45,9 +45,6 @@ type Coordinator struct {
 	// Workers are the worker base URLs ("http://host:port", as
 	// cliobs.ParseWorkers normalizes them).
 	Workers []string
-	// Shards is how many shards the characterization is split into
-	// (0 = one per worker).
-	Shards int
 	// Timeout is the per-request deadline (0 = 30s).
 	Timeout time.Duration
 	// Retries is how many extra attempts each worker gets per shard
@@ -67,6 +64,11 @@ type Coordinator struct {
 	Metrics *obs.Metrics
 	// Logf receives per-event logging. Nil disables it.
 	Logf func(string, ...any)
+
+	// shards is how many shards the characterization is split into
+	// (0 = one per worker, the only split phasechar runs). The tests set
+	// it to split finer than one shard per worker.
+	shards int
 }
 
 // DistributeStats summarizes one Distribute call.
@@ -211,8 +213,8 @@ func (d *dispatcher) kill(w, shard int) (reassigned, abandoned int) {
 	return reassigned, abandoned
 }
 
-// Distribute computes the c.Shards shards of (reg, cfg) on the workers
-// and stores every verified artifact's rows in cfg.CacheDir as interval
+// Distribute computes the shards of (reg, cfg) on the workers and
+// stores every verified artifact's rows in cfg.CacheDir as interval
 // vectors. It returns once all shards are settled — computed remotely
 // or left for the run to characterize locally. A fully successful run
 // leaves Local == 0; a run that lost every worker leaves Local ==
@@ -227,7 +229,7 @@ func (c *Coordinator) Distribute(reg *bench.Registry, cfg core.Config) (*Distrib
 	if cfg.CacheDir == "" {
 		return nil, fmt.Errorf("shardnet: distributing shards needs a cache directory")
 	}
-	n := c.Shards
+	n := c.shards
 	if n <= 0 {
 		n = len(c.Workers)
 	}
