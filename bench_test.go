@@ -400,6 +400,70 @@ func BenchmarkGAFitnessParallel(b *testing.B) {
 	}
 }
 
+// BenchmarkJacobiEigen measures the Jacobi eigensolver on the shapes
+// the analysis decomposes. chunks/12x12 runs stats.SubsetPCAs over one
+// chunk of four random 12-column genomes of the prominent-phase matrix
+// per op, as the GA's fitness does: four covariance-block gathers, one
+// lockstep Jacobi and four eigenpair sorts. 69x69 decomposes the full
+// covariance of that matrix's z-scores, the PCA every run performs.
+func BenchmarkJacobiEigen(b *testing.B) {
+	prominent := prominentPhases(b)
+	std := stats.Standardize(prominent)
+	rng := rand.New(rand.NewSource(12))
+	genomes := make([][]int, 64)
+	for i := range genomes {
+		genomes[i] = rng.Perm(prominent.Cols)[:12]
+	}
+	b.Run("chunks/12x12", func(b *testing.B) {
+		var ws [stats.Lanes]stats.PCAWorkspace
+		var wp [stats.Lanes]*stats.PCAWorkspace
+		for l := range ws {
+			wp[l] = &ws[l]
+		}
+		var pcas [stats.Lanes]*stats.PCA
+		var errs [stats.Lanes]error
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			lo := i * stats.Lanes % len(genomes)
+			stats.SubsetPCAs(std, wp[:], genomes[lo:lo+stats.Lanes], pcas[:], errs[:])
+			if errs[0] != nil {
+				b.Fatal(errs[0])
+			}
+		}
+	})
+	z, _ := prominent.Normalize()
+	cov := z.Covariance()
+	b.Run("69x69", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			if _, _, err := stats.JacobiEigen(cov, 200, 1e-12); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}
+
+// BenchmarkPairwiseDistances measures the GA's distance step: the
+// upper-triangle distances, and their pair-order sum, between 100 rows
+// of rescaled scores with 3 and with 12 retained components (the GA's
+// 12-gene genomes mostly keep 3).
+func BenchmarkPairwiseDistances(b *testing.B) {
+	rng := rand.New(rand.NewSource(13))
+	for _, k := range []int{3, 12} {
+		raw := stats.NewMatrix(100, k)
+		for i := range raw.Data {
+			raw.Data[i] = rng.NormFloat64()
+		}
+		scores, _ := raw.Normalize()
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			var dst []float64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				dst, _ = stats.PairwiseDistancesInto(dst, scores)
+			}
+		})
+	}
+}
+
 // prominentPhases returns the 100 x 69 prominent-phase matrix of a
 // small pipeline run (the test configuration with 120 clusters).
 func prominentPhases(b *testing.B) *stats.Matrix {

@@ -121,6 +121,7 @@ type Benchmark struct {
 
 	deriveOnce sync.Once
 	derived    [][]trace.PhaseBehavior // [input][phase]
+	hashes     [][]uint64              // [input][phase] BehaviorHash of derived
 }
 
 // ID returns the globally unique "suite/name" identifier.
@@ -242,20 +243,39 @@ func (b *Benchmark) PhaseAt(i, total int) int {
 	}
 }
 
-// BehaviorAt returns the behaviour of interval i (of total intervals),
-// with the interval's input transformation applied.
-func (b *Benchmark) BehaviorAt(i, total int) *trace.PhaseBehavior {
+// derive builds every (input, phase) behaviour and its BehaviorHash,
+// once per benchmark.
+func (b *Benchmark) derive() {
 	b.deriveOnce.Do(func() {
 		inputs := b.InputList()
 		b.derived = make([][]trace.PhaseBehavior, len(inputs))
+		b.hashes = make([][]uint64, len(inputs))
 		for ii, in := range inputs {
 			b.derived[ii] = make([]trace.PhaseBehavior, len(b.Phases))
+			b.hashes[ii] = make([]uint64, len(b.Phases))
 			for pi := range b.Phases {
 				b.derived[ii][pi] = in.apply(b.Phases[pi].Behavior)
+				b.hashes[ii][pi] = b.derived[ii][pi].BehaviorHash()
 			}
 		}
 	})
+}
+
+// BehaviorAt returns the behaviour of interval i (of total intervals),
+// with the interval's input transformation applied. It is shared by
+// every interval that runs the same (input, phase) pair and must not be
+// modified.
+func (b *Benchmark) BehaviorAt(i, total int) *trace.PhaseBehavior {
+	b.derive()
 	return &b.derived[b.InputAt(i, total)][b.PhaseAt(i, total)]
+}
+
+// BehaviorHashAt is BehaviorAt(i, total).BehaviorHash(), computed once
+// per distinct (input, phase) behaviour instead of once per interval:
+// the cache keys fold it for every interval of a roster.
+func (b *Benchmark) BehaviorHashAt(i, total int) uint64 {
+	b.derive()
+	return b.hashes[b.InputAt(i, total)][b.PhaseAt(i, total)]
 }
 
 // IntervalSeed returns the deterministic generator seed for interval i.

@@ -250,6 +250,23 @@ func TestBehaviorAtMatchesPhaseAt(t *testing.T) {
 	}
 }
 
+// BehaviorHashAt hashes each derived behaviour once; it must equal
+// hashing BehaviorAt's behaviour for every interval of every benchmark,
+// at interval counts that reach every input segment, or the cache keys
+// built from it would change.
+func TestBehaviorHashAtMatchesBehaviorHash(t *testing.T) {
+	for _, b := range MustStandardRegistry().All() {
+		for _, maxIntervals := range []int{4, 20, 150} {
+			total := b.ScaledIntervals(maxIntervals)
+			for i := 0; i < total; i++ {
+				if got, want := b.BehaviorHashAt(i, total), b.BehaviorAt(i, total).BehaviorHash(); got != want {
+					t.Fatalf("%s interval %d of %d: BehaviorHashAt %#x, BehaviorHash %#x", b.ID(), i, total, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestCrossSuiteTwinsIdentical(t *testing.T) {
 	// The deliberate cross-suite twin phases must stay parameter-equal;
 	// the headline uniqueness results depend on them (see DESIGN.md).

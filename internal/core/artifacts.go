@@ -63,7 +63,7 @@ func benchHash(b *bench.Benchmark, total int) uint64 {
 	h := foldHash(0x9e3779b97f4a7c15, trace.HashString(b.ID()))
 	h = foldHash(h, uint64(total))
 	for i := 0; i < total; i++ {
-		h = foldHash(h, b.BehaviorAt(i, total).BehaviorHash())
+		h = foldHash(h, b.BehaviorHashAt(i, total))
 		h = foldHash(h, b.IntervalSeed(i))
 	}
 	return h
@@ -117,7 +117,7 @@ func newArtifactKeys(reg *bench.Registry, cfg Config, rows int) *artifactKeys {
 func datasetKey(refs []IntervalRef, cfg Config) fcache.Key {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, r := range refs {
-		h = foldHash(h, r.Bench.BehaviorAt(r.Index, r.Total).BehaviorHash())
+		h = foldHash(h, r.Bench.BehaviorHashAt(r.Index, r.Total))
 		h = foldHash(h, r.Bench.IntervalSeed(r.Index))
 	}
 	return fcache.Key{

@@ -59,10 +59,15 @@ type Dataset struct {
 // or measured bit is in the key, so a hit is exactly equivalent to
 // regenerating.
 func VectorKey(beh *trace.PhaseBehavior, seed uint64, length int) fcache.Key {
+	return behaviorVectorKey(beh.BehaviorHash(), seed, length)
+}
+
+// behaviorVectorKey is VectorKey for a behaviour whose hash is known.
+func behaviorVectorKey(behavior, seed uint64, length int) fcache.Key {
 	return fcache.Key{
 		Kind:     fcache.KindVector,
 		Version:  mica.SchemaVersion,
-		Behavior: beh.BehaviorHash(),
+		Behavior: behavior,
 		Seed:     seed,
 		Length:   int64(length),
 	}
@@ -72,7 +77,7 @@ func VectorKey(beh *trace.PhaseBehavior, seed uint64, length int) fcache.Key {
 // the coordinator that stores shipped ones both key through it, so they
 // cannot drift apart.
 func vectorKey(r IntervalRef, length int) fcache.Key {
-	return VectorKey(r.Bench.BehaviorAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index), length)
+	return behaviorVectorKey(r.Bench.BehaviorHashAt(r.Index, r.Total), r.Bench.IntervalSeed(r.Index), length)
 }
 
 // SampleRefs draws the per-benchmark interval sample. With

@@ -22,18 +22,22 @@ import (
 // the columns' statistics, z-scores and covariance (stats.Standardize),
 // the reference distances (the all-columns genome, scored through the
 // same path as every other) and the reference half of the Pearson
-// correlation. A genome evaluation gathers its covariance block and
-// z-scores, runs its own Jacobi eigendecomposition, projects, rescales,
-// and computes its pairwise distances in one fused loop that also sums
-// them. Every step performs the floating-point operations of the plain
-// SelectColumns -> ComputePCA -> RescaledScores -> PairwiseDistances ->
-// Pearson chain in the same order, so each fitness value is that
-// chain's, bit for bit.
+// correlation. A chunk of up to stats.Lanes genomes is scored together,
+// in four steps: each genome gathers its covariance block; the genomes
+// of equal size run one lockstep Jacobi eigendecomposition
+// (stats.SubsetPCAs); each genome is projected, rescaled and turned into
+// pairwise distances by the distance-row kernel; then one loop sums the
+// distances of all the chunk's genomes and one more forms their Pearson
+// sums, so the genomes' serial addition chains overlap. Every step
+// performs the floating-point operations of the plain SelectColumns ->
+// ComputePCA -> RescaledScores -> PairwiseDistances -> Pearson chain in
+// the same order, so each fitness value is that chain's, bit for bit,
+// whatever chunk the genome is scored in.
 //
 // The returned Fitness only reads that precomputed state, so it is safe
 // for the concurrent evaluation Run performs when Config.Workers allows
-// it: each evaluation borrows pooled buffers, and its only
-// allocations are sort.Slice's small fixed overhead.
+// it: each chunk borrows pooled buffers, and its only allocations are
+// sort.Slice's small fixed overhead per genome.
 //
 // minPCStd is the retention threshold for principal components (the paper
 // keeps components with standard deviation > 1).
@@ -46,10 +50,14 @@ func DistanceFitness(data *stats.Matrix, minPCStd float64) (Fitness, error) {
 	for i := range all {
 		all[i] = i
 	}
-	var sc evalBuffers
-	ref, sum, err := f.distances(&sc, all)
+	var ws stats.PCAWorkspace
+	ref, err := f.distances(&ws, all, nil)
 	if err != nil {
 		return nil, fmt.Errorf("ga: reference distances: %w", err)
+	}
+	var sum float64
+	for _, v := range ref {
+		sum += v
 	}
 	f.ref = newPearsonRef(ref, sum)
 	return f.score, nil
@@ -64,42 +72,76 @@ type distanceFitness struct {
 	pool     sync.Pool // *evalBuffers
 }
 
-// evalBuffers holds one evaluation's reusable buffers.
+// evalBuffers holds one chunk's reusable buffers, one set per lane.
 type evalBuffers struct {
-	ws   stats.PCAWorkspace
-	dist []float64
+	ws   [stats.Lanes]stats.PCAWorkspace
+	dist [stats.Lanes][]float64
 }
 
 // score is the Fitness: -1 for a genome the PCA rejects (an empty or
 // out-of-range selection).
-func (f *distanceFitness) score(selected []int) float64 {
+func (f *distanceFitness) score(genomes [][]int, scores []float64) {
 	sc, _ := f.pool.Get().(*evalBuffers)
 	if sc == nil {
 		sc = new(evalBuffers)
 	}
-	r := -1.0
-	if dist, sum, err := f.distances(sc, selected); err == nil {
-		r = f.ref.corr(dist, sum)
+	for len(genomes) > 0 {
+		n := min(len(genomes), stats.Lanes)
+		f.scoreLanes(sc, genomes[:n], scores[:n])
+		genomes, scores = genomes[n:], scores[n:]
 	}
 	f.pool.Put(sc)
-	return r
+}
+
+// scoreLanes scores up to stats.Lanes genomes, lane l on sc's buffers l.
+func (f *distanceFitness) scoreLanes(sc *evalBuffers, genomes [][]int, scores []float64) {
+	var ws [stats.Lanes]*stats.PCAWorkspace
+	var pcas [stats.Lanes]*stats.PCA
+	var errs [stats.Lanes]error
+	for l := range genomes {
+		ws[l] = &sc.ws[l]
+	}
+	n := len(genomes)
+	stats.SubsetPCAs(f.std, ws[:n], genomes, pcas[:n], errs[:n])
+
+	// The scored lanes' distances, padded to a full set of lanes with
+	// copies of the first, whose results are dropped.
+	var dists [stats.Lanes][]float64
+	var lane [stats.Lanes]int
+	live := 0
+	for l := range genomes {
+		scores[l] = -1
+		if errs[l] != nil {
+			continue
+		}
+		d, err := ws[l].SubsetDistances(f.std, genomes[l], pcas[l], pcas[l].NumRetained(f.minPCStd), sc.dist[l])
+		if err != nil {
+			continue
+		}
+		sc.dist[l] = d
+		dists[live], lane[live] = d, l
+		live++
+	}
+	if live == 0 {
+		return
+	}
+	for l := live; l < stats.Lanes; l++ {
+		dists[l] = dists[0]
+	}
+	r := f.ref.corrLanes(&dists)
+	for i, l := range lane[:live] {
+		scores[l] = r[i]
+	}
 }
 
 // distances returns the pairwise distances between the rows in the
-// rescaled-PCA space of the columns cols, and their sum in pair order.
-// The distances alias sc.
-func (f *distanceFitness) distances(sc *evalBuffers, cols []int) ([]float64, float64, error) {
-	pca, err := sc.ws.SubsetPCA(f.std, cols)
+// rescaled-PCA space of the columns cols, on ws and into dst.
+func (f *distanceFitness) distances(ws *stats.PCAWorkspace, cols []int, dst []float64) ([]float64, error) {
+	pca, err := ws.SubsetPCA(f.std, cols)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
-	scores, err := sc.ws.SubsetRescaledScores(f.std, cols, pca, pca.NumRetained(f.minPCStd))
-	if err != nil {
-		return nil, 0, err
-	}
-	var sum float64
-	sc.dist, sum = stats.PairwiseDistancesInto(sc.dist, scores)
-	return sc.dist, sum, nil
+	return ws.SubsetDistances(f.std, cols, pca, pca.NumRetained(f.minPCStd), dst)
 }
 
 // pearsonRef is the genome-independent half of stats.Pearson(x, y) for a
@@ -122,17 +164,42 @@ func newPearsonRef(x []float64, sum float64) pearsonRef {
 	return r
 }
 
-// corr is stats.Pearson(x, y), bit for bit, given y's index-order sum:
-// the same mean, the same deviations and the same index-order sums.
-func (r *pearsonRef) corr(y []float64, sum float64) float64 {
-	my := sum / float64(len(y))
-	y = y[:len(r.dx)]
-	var sxy, syy float64
-	for i, dx := range r.dx {
-		dy := y[i] - my
-		sxy += dx * dy
-		syy += dy * dy
+// corrLanes is stats.Pearson(x, y) for each of four samples y, bit for
+// bit: each y's index-order sum and mean, then its index-order sums of
+// dx·dy and dy². Each loop steps all four samples together, so their
+// serial addition chains overlap instead of running one after the other.
+func (r *pearsonRef) corrLanes(ys *[4][]float64) [4]float64 {
+	n := len(r.dx)
+	y0, y1, y2, y3 := ys[0][:n], ys[1][:n], ys[2][:n], ys[3][:n]
+	var s0, s1, s2, s3 float64
+	for i := range y0 {
+		s0 += y0[i]
+		s1 += y1[i]
+		s2 += y2[i]
+		s3 += y3[i]
 	}
+	nf := float64(n)
+	m0, m1, m2, m3 := s0/nf, s1/nf, s2/nf, s3/nf
+	var sxy0, sxy1, sxy2, sxy3, syy0, syy1, syy2, syy3 float64
+	for i, dx := range r.dx {
+		d0 := y0[i] - m0
+		d1 := y1[i] - m1
+		d2 := y2[i] - m2
+		d3 := y3[i] - m3
+		sxy0 += dx * d0
+		sxy1 += dx * d1
+		sxy2 += dx * d2
+		sxy3 += dx * d3
+		syy0 += d0 * d0
+		syy1 += d1 * d1
+		syy2 += d2 * d2
+		syy3 += d3 * d3
+	}
+	return [4]float64{r.finish(sxy0, syy0), r.finish(sxy1, syy1), r.finish(sxy2, syy2), r.finish(sxy3, syy3)}
+}
+
+// finish is Pearson's last step for one sample's sums.
+func (r *pearsonRef) finish(sxy, syy float64) float64 {
 	if r.sxx == 0 || syy == 0 {
 		return 0
 	}

@@ -7,6 +7,13 @@ import (
 	"repro/internal/stats"
 )
 
+// scoreOne scores a single genome through fitness.
+func scoreOne(fitness Fitness, genome []int) float64 {
+	var s [1]float64
+	fitness([][]int{genome}, s[:])
+	return s[0]
+}
+
 // phaseData builds a matrix shaped like real MICA data: most columns are
 // (noisily) correlated views of a shared group structure, so that a small
 // column subset can reproduce the full-space distances; the listed noise
@@ -56,8 +63,8 @@ func TestDistanceFitnessPrefersSpanningSubsets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spanning := fitness([]int{0, 6})
-	oneFactor := fitness([]int{0, 1})
+	spanning := scoreOne(fitness, []int{0, 6})
+	oneFactor := scoreOne(fitness, []int{0, 1})
 	if spanning <= oneFactor {
 		t.Fatalf("spanning subset scored %v, one-factor subset %v", spanning, oneFactor)
 	}
@@ -76,7 +83,7 @@ func TestDistanceFitnessFullSetNearPerfect(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	if got := fitness(all); got < 0.999 {
+	if got := scoreOne(fitness, all); got < 0.999 {
 		t.Fatalf("full feature set correlation = %v", got)
 	}
 }
@@ -87,7 +94,7 @@ func TestDistanceFitnessInvalidSelection(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := fitness([]int{99}); got != -1 {
+	if got := scoreOne(fitness, []int{99}); got != -1 {
 		t.Fatalf("out-of-range selection scored %v, want -1", got)
 	}
 }
@@ -113,8 +120,8 @@ func TestGAWithDistanceFitnessEndToEnd(t *testing.T) {
 	// weight, so the best subset mixes structured and noise columns
 	// (matching the full space's composition) — the GA must at least
 	// beat both naive hand-picked baselines.
-	structured := fitness([]int{0, 2, 3})
-	allNoise := fitness(noise)
+	structured := scoreOne(fitness, []int{0, 2, 3})
+	allNoise := scoreOne(fitness, noise)
 	if sel.Fitness < structured || sel.Fitness < allNoise {
 		t.Fatalf("GA fitness %v below baselines (structured %v, noise %v); selected %v",
 			sel.Fitness, structured, allNoise, sel.Selected)
@@ -125,15 +132,15 @@ func TestGAWithDistanceFitnessEndToEnd(t *testing.T) {
 }
 
 // The pooled fitness must stay within a fixed allocation budget per
-// evaluation: the gather -> PCA -> rescale -> distance chain runs
-// entirely on recycled buffers, so the steady state is sort.Slice's two
-// allocations inside the eigenpair sort. The ceiling leaves headroom for
-// an occasional GC-cleared pool (one fresh set of buffers, ~20
-// allocations, spread over the 100 runs) and catches any per-evaluation
-// buffer that stops being reused. Under the race detector sync.Pool
-// drops a quarter of its Puts on purpose, so every evaluation that finds
-// the pool empty builds fresh buffers (about 11 allocations per
-// evaluation on average), and the ceiling there is 25.
+// genome scored, in chunks of every size: the gather -> PCA -> rescale ->
+// distance chain runs entirely on recycled buffers, so the steady state
+// is sort.Slice's two allocations inside each genome's eigenpair sort.
+// The ceiling of 4 per genome leaves headroom for an occasional
+// GC-cleared pool (one fresh set of buffers, spread over the 100 runs)
+// and catches any per-genome buffer that stops being reused. Under the
+// race detector sync.Pool drops a quarter of its Puts on purpose, so
+// every chunk that finds the pool empty builds fresh buffers, and the
+// ceiling there is 25 per genome.
 func TestDistanceFitnessAllocBudget(t *testing.T) {
 	data := phaseData(40, 20, []int{1, 6, 11}, 9)
 	fitness, err := DistanceFitness(data, 1.0)
@@ -146,19 +153,18 @@ func TestDistanceFitnessAllocBudget(t *testing.T) {
 		{0, 5, 6, 11, 17, 19},
 		{2, 3, 8, 13},
 	}
-	for _, g := range genomes { // warm the workspace pool
-		fitness(g)
-	}
-	i := 0
-	avg := testing.AllocsPerRun(100, func() {
-		fitness(genomes[i%len(genomes)])
-		i++
-	})
+	scores := make([]float64, len(genomes))
 	budget := 4.0
 	if RaceEnabled {
 		budget = 25
 	}
-	if avg > budget {
-		t.Fatalf("fitness evaluation averages %.1f allocs, budget %.0f", avg, budget)
+	for size := 1; size <= len(genomes); size++ {
+		fitness(genomes[:size], scores) // warm the buffer pool
+		avg := testing.AllocsPerRun(100, func() {
+			fitness(genomes[:size], scores)
+		})
+		if perGenome := avg / float64(size); perGenome > budget {
+			t.Fatalf("chunks of %d average %.1f allocs per genome, budget %.0f", size, perGenome, budget)
+		}
 	}
 }

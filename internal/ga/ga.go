@@ -22,13 +22,17 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/par"
+	"repro/internal/stats"
 )
 
-// Fitness scores a candidate subset of feature indices; higher is better.
-// When Config.Workers permits more than one worker, distinct genomes are
-// scored concurrently, so a Fitness must be safe for concurrent use (pure
-// functions of their input, like DistanceFitness, are).
-type Fitness func(selected []int) float64
+// Fitness scores a chunk of candidate subsets of feature indices:
+// scores[i] receives the score of genomes[i]; higher is better. Run hands
+// it chunks of up to stats.Lanes distinct genomes, and a genome's score
+// must not depend on the rest of its chunk, so the search is the same for
+// any chunking. When Config.Workers permits more than one worker, chunks
+// are scored concurrently, so a Fitness must be safe for concurrent use
+// (pure functions of their input, like DistanceFitness, are).
+type Fitness func(genomes [][]int, scores []float64)
 
 // Config tunes the evolutionary search.
 type Config struct {
@@ -127,10 +131,10 @@ func genomeKey(genes []int) string {
 
 // memo caches genome fitness and evaluates batches of genomes. The cache
 // needs no lock: Evaluate dedupes the batch serially, fans out fitness
-// calls only for distinct uncached genomes (each writing its own slot),
-// and stores the results serially — which also makes the evaluation count
-// deterministic, where a racy per-lookup cache could score one genome
-// twice under contention.
+// calls only for distinct uncached genomes (each chunk writing its own
+// slots), and stores the results serially — which also makes the
+// evaluation count deterministic, where a racy per-lookup cache could
+// score one genome twice under contention.
 type memo struct {
 	fitness Fitness
 	workers int
@@ -140,7 +144,9 @@ type memo struct {
 
 // Evaluate returns the fitness of each genome in genes, scoring uncached
 // distinct genomes concurrently and memoizing them in first-appearance
-// order.
+// order. Each task scores a chunk of up to stats.Lanes consecutive
+// genomes; chunks shrink when the batch is too small to give every worker
+// full ones, so no worker sits idle.
 func (m *memo) Evaluate(genes [][]int) []float64 {
 	var todoKeys []string
 	var todoGenes [][]int
@@ -155,8 +161,10 @@ func (m *memo) Evaluate(genes [][]int) []float64 {
 		todoGenes = append(todoGenes, g)
 	}
 	vals := make([]float64, len(todoGenes))
-	par.For(m.workers, len(todoGenes), func(i int) {
-		vals[i] = m.fitness(todoGenes[i])
+	size := min(stats.Lanes, max(1, (len(todoGenes)+m.workers-1)/m.workers))
+	par.For(m.workers, (len(todoGenes)+size-1)/size, func(c int) {
+		lo, hi := c*size, min((c+1)*size, len(todoGenes))
+		m.fitness(todoGenes[lo:hi], vals[lo:hi])
 	})
 	for i, key := range todoKeys {
 		m.cache[key] = vals[i]

@@ -8,13 +8,23 @@ import (
 	"testing/quick"
 )
 
+// perGenome is the Fitness that scores each genome of a chunk with
+// score.
+func perGenome(score func(selected []int) float64) Fitness {
+	return func(genomes [][]int, scores []float64) {
+		for i, g := range genomes {
+			scores[i] = score(g)
+		}
+	}
+}
+
 // plantedFitness rewards overlap with a planted target subset.
 func plantedFitness(target []int) Fitness {
 	set := map[int]bool{}
 	for _, g := range target {
 		set[g] = true
 	}
-	return func(selected []int) float64 {
+	return perGenome(func(selected []int) float64 {
 		hits := 0
 		for _, g := range selected {
 			if set[g] {
@@ -22,7 +32,7 @@ func plantedFitness(target []int) Fitness {
 			}
 		}
 		return float64(hits) / float64(len(target))
-	}
+	})
 }
 
 func TestRunFindsPlantedSubset(t *testing.T) {
@@ -45,7 +55,7 @@ func TestRunFindsPlantedSubset(t *testing.T) {
 }
 
 func TestRunRespectsCardinality(t *testing.T) {
-	fitness := func(sel []int) float64 { return float64(len(sel)) }
+	fitness := perGenome(func(sel []int) float64 { return float64(len(sel)) })
 	for _, count := range []int{1, 7, 20} {
 		sel, err := Run(30, fitness, Config{TargetCount: count, Seed: 2, MaxGenerations: 5})
 		if err != nil {
@@ -108,7 +118,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunFullCardinality(t *testing.T) {
 	// Selecting all features leaves nothing to mutate; must not hang.
-	sel, err := Run(6, func([]int) float64 { return 1 }, Config{TargetCount: 6, Seed: 1, MaxGenerations: 3})
+	sel, err := Run(6, perGenome(func([]int) float64 { return 1 }), Config{TargetCount: 6, Seed: 1, MaxGenerations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,7 +132,7 @@ func TestEvaluationsCounted(t *testing.T) {
 	// counter must be atomic (the Fitness contract requires concurrent
 	// safety).
 	var calls atomic.Int64
-	f := func(sel []int) float64 { calls.Add(1); return 0 }
+	f := perGenome(func(sel []int) float64 { calls.Add(1); return 0 })
 	for _, workers := range []int{1, 4} {
 		calls.Store(0)
 		sel, err := Run(12, f, Config{TargetCount: 3, Seed: 4, MaxGenerations: 6, Patience: 3, Workers: workers})

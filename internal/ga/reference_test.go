@@ -33,16 +33,19 @@ func referenceFitness(t testing.TB, data *stats.Matrix, minPCStd float64) ga.Fit
 		t.Fatal(err)
 	}
 	ref := pairDistances(full)
-	return func(selected []int) float64 {
-		sel, err := data.SelectColumns(selected)
-		if err != nil {
-			return -1
+	return func(genomes [][]int, out []float64) {
+		for i, selected := range genomes {
+			out[i] = -1
+			sel, err := data.SelectColumns(selected)
+			if err != nil {
+				continue
+			}
+			scores, err := rescaled(sel)
+			if err != nil {
+				continue
+			}
+			out[i] = stats.Pearson(ref, pairDistances(scores))
 		}
-		scores, err := rescaled(sel)
-		if err != nil {
-			return -1
-		}
-		return stats.Pearson(ref, pairDistances(scores))
 	}
 }
 
@@ -160,7 +163,11 @@ func init() {
 // recompute-everything chain, bit for bit, on the real prominent-phase
 // matrix and its adversarial variants: random sorted, unsorted and
 // repeated-column genomes, every single column, all columns, and
-// rejected genomes (out of range or empty), which score -1.
+// rejected genomes (out of range or empty), which score -1. Each genome
+// must get the same bits in whatever chunk it is scored: the genomes go
+// through once in shuffled chunks of 1, 2, 3 and 4, which mix sizes and
+// rejected genomes, and once in chunks of equal-size genomes, which run
+// the lockstep Jacobi on every lane.
 func TestDistanceFitnessMatchesReference(t *testing.T) {
 	for mi, nm := range referenceMatrices(t) {
 		t.Run(nm.name, func(t *testing.T) {
@@ -175,7 +182,7 @@ func TestDistanceFitnessMatchesReference(t *testing.T) {
 			for i := range all {
 				all[i] = i
 			}
-			genomes := [][]int{all, all[1:], {m.Cols - 1, 0}, {3, 3}}
+			genomes := [][]int{all, all[1:], {m.Cols - 1, 0}, {3, 3}, {0, m.Cols}, {-1}, {}}
 			for c := 0; c < m.Cols; c++ {
 				genomes = append(genomes, []int{c})
 			}
@@ -183,15 +190,32 @@ func TestDistanceFitnessMatchesReference(t *testing.T) {
 			for len(genomes) < referenceGenomes+m.Cols {
 				genomes = append(genomes, randomGenome(m.Cols, rng))
 			}
-			for _, g := range genomes {
-				got, want := fitness(g), ref(g)
-				if math.Float64bits(got) != math.Float64bits(want) {
-					t.Fatalf("genome %v: fitness %v (%#x), reference %v (%#x)", g, got, math.Float64bits(got), want, math.Float64bits(want))
+			want := make([]float64, len(genomes))
+			ref(genomes, want)
+			for i, g := range genomes[4:7] {
+				if want[4+i] != -1 {
+					t.Fatalf("rejected genome %v: reference %v, want -1", g, want[4+i])
 				}
 			}
-			for _, g := range [][]int{{0, m.Cols}, {-1}, {}} {
-				if got, want := fitness(g), ref(g); got != -1 || want != -1 {
-					t.Fatalf("rejected genome %v: fitness %v, reference %v, want -1", g, got, want)
+
+			shuffled := rng.Perm(len(genomes))
+			bySize := append([]int(nil), shuffled...)
+			sort.SliceStable(bySize, func(a, b int) bool { return len(genomes[bySize[a]]) < len(genomes[bySize[b]]) })
+			for _, order := range [][]int{shuffled, bySize} {
+				for lo, size := 0, 1; lo < len(order); lo, size = lo+size, size%4+1 {
+					idx := order[lo:min(lo+size, len(order))]
+					chunk := make([][]int, len(idx))
+					for i, gi := range idx {
+						chunk[i] = genomes[gi]
+					}
+					got := make([]float64, len(idx))
+					fitness(chunk, got)
+					for i, gi := range idx {
+						if math.Float64bits(got[i]) != math.Float64bits(want[gi]) {
+							t.Fatalf("genome %v in chunk %v: fitness %v (%#x), reference %v (%#x)",
+								genomes[gi], chunk, got[i], math.Float64bits(got[i]), want[gi], math.Float64bits(want[gi]))
+						}
+					}
 				}
 			}
 		})

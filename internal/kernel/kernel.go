@@ -91,8 +91,8 @@ func SquaredDistance(a, b []float64) float64 {
 // vectors. This is the repo's one distance implementation; every caller
 // (stats.EuclideanDistance, k-means seeding, hierarchical clustering,
 // SimPoint accuracy) routes through it, except stats.PairwiseDistances,
-// whose fused pair loop inlines SquaredDistance's arithmetic and is
-// pinned bit for bit to it by a test.
+// which runs DistanceRow: each of its lanes repeats SquaredDistance's
+// arithmetic, and tests pin the two bit for bit.
 func Distance(a, b []float64) float64 {
 	return math.Sqrt(SquaredDistance(a, b))
 }

@@ -280,24 +280,26 @@ func (s *Server) runJob(j *job) {
 		// A cancel won the race while the job was queued.
 		return
 	}
+	// Each path counts the job before end wakes its watchers, so a
+	// client holding the result also sees the job in /metrics.
 	defer func() {
 		if r := recover(); r != nil {
-			s.end(j, StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r))
 			s.jobsFailed.Inc()
+			s.end(j, StateFailed, nil, fmt.Errorf("serve: job panicked: %v", r))
 			s.logf("serve: job %s panicked: %v", j.id, r)
 		}
 	}()
 	t0 := time.Now()
 	payload, err := s.executeJob(j)
 	if err != nil {
-		s.end(j, StateFailed, nil, err)
 		s.jobsFailed.Inc()
+		s.end(j, StateFailed, nil, err)
 		s.logf("serve: job %s failed: %v", j.id, err)
 		return
 	}
-	s.end(j, StateDone, payload, nil)
 	s.jobsDone.Inc()
 	s.jobRuntime.Observe(time.Since(t0))
+	s.end(j, StateDone, payload, nil)
 	s.logf("serve: job %s done in %v (%d result bytes)", j.id, time.Since(t0).Round(time.Millisecond), len(payload))
 }
 

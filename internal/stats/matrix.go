@@ -209,43 +209,34 @@ func PairwiseDistances(m *Matrix) []float64 {
 
 // PairwiseDistancesInto is PairwiseDistances into dst (grown when too
 // short) that also returns the distances' sum, added in pair order: the
-// order Pearson sums a sample in. It is one fused loop over the pairs.
-// Each distance is bit for bit EuclideanDistance of its two rows: the
-// loop inlines kernel.SquaredDistance's four-lane accumulation and its
-// (s0+s1)+(s2+s3) combine instead of calling it once per pair.
+// order Pearson sums a sample in. Each distance is bit for bit
+// EuclideanDistance of its two rows. The capacity past the distances
+// holds m transposed, so passing back the returned slice reuses both.
 func PairwiseDistancesInto(dst []float64, m *Matrix) ([]float64, float64) {
-	n, d := m.Rows, m.Cols
-	dst = growFloats(dst, n*(n-1)/2)
-	d4 := d &^ 3
+	pairs := m.Rows * (m.Rows - 1) / 2
+	buf := growFloats(dst, pairs+m.Rows*m.Cols)
+	dst = m.distancesInto(buf[:pairs], buf[pairs:])
 	var sum float64
-	k := 0
-	for i := 0; i < n; i++ {
-		ri := m.Data[i*d : (i+1)*d : (i+1)*d]
-		for j := i + 1; j < n; j++ {
-			rj := m.Data[j*d : (j+1)*d : (j+1)*d]
-			var s0, s1, s2, s3 float64
-			c := 0
-			for ; c < d4; c += 4 {
-				e0 := ri[c] - rj[c]
-				e1 := ri[c+1] - rj[c+1]
-				e2 := ri[c+2] - rj[c+2]
-				e3 := ri[c+3] - rj[c+3]
-				s0 += e0 * e0
-				s1 += e1 * e1
-				s2 += e2 * e2
-				s3 += e3 * e3
-			}
-			for ; c < d; c++ {
-				e := ri[c] - rj[c]
-				s0 += e * e
-			}
-			v := math.Sqrt((s0 + s1) + (s2 + s3))
-			dst[k] = v
-			sum += v
-			k++
-		}
+	for _, v := range dst {
+		sum += v
 	}
 	return dst, sum
+}
+
+// distancesInto fills dst (grown when too short) with m's upper-triangle
+// row distances in pair order. It writes m transposed into t (Rows*Cols
+// values) once, then takes each row against its partners with
+// kernel.DistanceRow, whose lanes run across the partners.
+func (m *Matrix) distancesInto(dst, t []float64) []float64 {
+	n, k := m.Rows, m.Cols
+	dst = growFloats(dst, n*(n-1)/2)
+	kernel.Transpose(m.Data, n, k, t)
+	off := 0
+	for i := 0; i < n; i++ {
+		kernel.DistanceRow(t, k, n, i, dst[off:off+n-i-1])
+		off += n - i - 1
+	}
+	return dst
 }
 
 // Pearson computes the Pearson correlation coefficient between two

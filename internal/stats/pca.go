@@ -149,19 +149,104 @@ func JacobiEigen(a *Matrix, maxSweeps int, tol float64) ([]float64, *Matrix, err
 	return w.vals, v, nil
 }
 
-// jacobiEigenInto is JacobiEigen on caller-owned buffers, operating on
-// flat slices instead of At/Set index arithmetic. Every rotation applies
-// the same per-element expressions in the same order as the classical
-// formulation (each element is read and written exactly once per pass),
-// so results are bit-identical to it; only the eigenvector layout
-// differs (w.vT rows are eigenvectors).
+// Lanes is how many same-size symmetric matrices one lockstep Jacobi
+// decomposes together (SubsetPCAs): the GA scores its genomes in chunks
+// of this many.
+const Lanes = 4
+
+// jacobiEigenInto is JacobiEigen on caller-owned buffers: the one-lane
+// case of jacobiLanes.
 func jacobiEigenInto(a *Matrix, maxSweeps int, tol float64, w *jacobiWork) error {
+	var err [1]error
+	jacobiLanes([]*Matrix{a}, maxSweeps, tol, []*jacobiWork{w}, err[:])
+	return err[0]
+}
+
+// jacobiLanes decomposes up to Lanes same-size matrices in lockstep:
+// lane l decomposes a[l] into w[l] and reports its error in errs[l]. It
+// works on flat slices instead of At/Set index arithmetic. Every
+// rotation applies the same per-element expressions in the same order
+// as the classical formulation (each element is read and written exactly
+// once per pass), so results are bit-identical to it; only the
+// eigenvector layout differs (w[l].vT rows are eigenvectors).
+//
+// The lanes share the cyclic (p, q) order and nothing else: each checks
+// its own symmetry, leaves at the first sweep whose off-diagonal norm is
+// under tol², stops at maxSweeps and skips its own negligible elements,
+// so each performs exactly the operations a lone run performs. What the
+// lockstep buys is overlap: a rotation's parameters are a divide, square
+// root, divide, square root chain that waits on the previous rotation's
+// diagonal. At each (p, q) every lane computes its parameters before any
+// lane rotates, so the lanes' independent chains run side by side.
+func jacobiLanes(a []*Matrix, maxSweeps int, tol float64, w []*jacobiWork, errs []error) {
+	n := a[0].Rows
+	var md, vtd [Lanes][]float64
+	var live [Lanes]int // lanes still rotating
+	nl := 0
+	for l, al := range a {
+		if al.Rows != n {
+			panic(fmt.Sprintf("stats: lockstep Jacobi over %d- and %d-row matrices", n, al.Rows))
+		}
+		if errs[l] = checkSymmetric(al); errs[l] != nil {
+			continue
+		}
+		wl := w[l]
+		wl.m = growMatrixInto(wl.m, n, n)
+		wl.vT = growMatrixInto(wl.vT, n, n)
+		wl.vals = growFloats(wl.vals, n)
+		md[l], vtd[l] = wl.m.Data, wl.vT.Data
+		copy(md[l], al.Data)
+		clear(vtd[l])
+		for i := 0; i < n; i++ {
+			vtd[l][i*n+i] = 1
+		}
+		live[nl] = l
+		nl++
+	}
+
+	for sweep := 0; sweep < maxSweeps && nl > 0; sweep++ {
+		// Off-diagonal norm for convergence, per lane.
+		kept := 0
+		for _, l := range live[:nl] {
+			if !(offDiagonal(md[l], n) < tol*tol) {
+				live[kept] = l
+				kept++
+			}
+		}
+		nl = kept
+		for p := 0; p < n-1; p++ {
+			for q := p + 1; q < n; q++ {
+				var c, s [Lanes]float64
+				var rot [Lanes]bool
+				for _, l := range live[:nl] {
+					c[l], s[l], rot[l] = rotation(md[l], n, p, q)
+				}
+				for _, l := range live[:nl] {
+					if rot[l] {
+						rotate(md[l], vtd[l], n, p, q, c[l], s[l])
+					}
+				}
+			}
+		}
+	}
+
+	for l := range a {
+		if errs[l] == nil {
+			for i := 0; i < n; i++ {
+				w[l].vals[i] = md[l][i*n+i]
+			}
+		}
+	}
+}
+
+// checkSymmetric rejects a matrix that is not square, or not symmetric
+// within a tolerance scaled by magnitude.
+func checkSymmetric(a *Matrix) error {
 	n := a.Rows
 	if n != a.Cols {
 		return fmt.Errorf("stats: Jacobi on non-square %dx%d matrix", a.Rows, a.Cols)
 	}
 	ad := a.Data
-	// Verify symmetry (within tolerance scaled by magnitude).
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
 			x, y := ad[i*n+j], ad[j*n+i]
@@ -172,79 +257,61 @@ func jacobiEigenInto(a *Matrix, maxSweeps int, tol float64, w *jacobiWork) error
 			}
 		}
 	}
-
-	w.m = growMatrixInto(w.m, n, n)
-	w.vT = growMatrixInto(w.vT, n, n)
-	w.vals = growFloats(w.vals, n)
-	md, vtd := w.m.Data, w.vT.Data
-	copy(md, ad)
-	for i := range vtd {
-		vtd[i] = 0
-	}
-	for i := 0; i < n; i++ {
-		vtd[i*n+i] = 1
-	}
-
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		// Off-diagonal norm for convergence.
-		var off float64
-		for i := 0; i < n; i++ {
-			row := md[i*n+i+1 : (i+1)*n]
-			for _, v := range row {
-				off += v * v
-			}
-		}
-		if off < tol*tol {
-			break
-		}
-		for p := 0; p < n-1; p++ {
-			for q := p + 1; q < n; q++ {
-				apq := md[p*n+q]
-				if math.Abs(apq) < 1e-300 {
-					continue
-				}
-				app := md[p*n+p]
-				aqq := md[q*n+q]
-				theta := (aqq - app) / (2 * apq)
-				var t float64
-				if theta >= 0 {
-					t = 1 / (theta + math.Sqrt(1+theta*theta))
-				} else {
-					t = -1 / (-theta + math.Sqrt(1+theta*theta))
-				}
-				c := 1 / math.Sqrt(1+t*t)
-				s := t * c
-
-				// Apply rotation J(p, q, theta): columns p and q of m...
-				for k := 0; k < n; k++ {
-					kp, kq := k*n+p, k*n+q
-					akp, akq := md[kp], md[kq]
-					md[kp] = c*akp - s*akq
-					md[kq] = s*akp + c*akq
-				}
-				// ...then rows p and q (contiguous in the flat layout)...
-				rowp := md[p*n : (p+1)*n : (p+1)*n]
-				rowq := md[q*n : (q+1)*n : (q+1)*n]
-				for k := 0; k < n; k++ {
-					apk, aqk := rowp[k], rowq[k]
-					rowp[k] = c*apk - s*aqk
-					rowq[k] = s*apk + c*aqk
-				}
-				// ...and the eigenvector accumulator, whose transposed
-				// layout makes this contiguous too.
-				vp := vtd[p*n : (p+1)*n : (p+1)*n]
-				vq := vtd[q*n : (q+1)*n : (q+1)*n]
-				for k := 0; k < n; k++ {
-					vkp, vkq := vp[k], vq[k]
-					vp[k] = c*vkp - s*vkq
-					vq[k] = s*vkp + c*vkq
-				}
-			}
-		}
-	}
-
-	for i := 0; i < n; i++ {
-		w.vals[i] = md[i*n+i]
-	}
 	return nil
+}
+
+// offDiagonal is the sum of squares of the n x n matrix md's upper
+// triangle, in row order.
+func offDiagonal(md []float64, n int) float64 {
+	var off float64
+	for i := 0; i < n; i++ {
+		row := md[i*n+i+1 : (i+1)*n]
+		for _, v := range row {
+			off += v * v
+		}
+	}
+	return off
+}
+
+// rotation returns the rotation (c, s) that zeroes element (p, q) of the
+// n x n matrix md, or ok false when that element is negligible and the
+// rotation is skipped.
+//
+// The classical formula branches on the sign of theta: t is
+// 1/(theta + √(1+theta²)) when theta ≥ 0 and −1/(−theta + √(1+theta²))
+// otherwise. That sign is a coin flip the processor mispredicts half the
+// time, and each miss discards the other lanes' work in flight, so the
+// sign is applied without a branch instead: for theta < 0, −theta is
+// |theta| and −1/x is −(1/x), so t is 1/(|theta| + √(1+theta²)) with its
+// sign bit set, the classical bits for every theta that is not NaN.
+func rotation(md []float64, n, p, q int) (c, s float64, ok bool) {
+	apq := md[p*n+q]
+	if math.Abs(apq) < 1e-300 {
+		return 0, 0, false
+	}
+	app := md[p*n+p]
+	aqq := md[q*n+q]
+	theta := (aqq - app) / (2 * apq)
+	var neg uint64
+	if !(theta >= 0) {
+		neg = 1 << 63
+	}
+	t := math.Float64frombits(math.Float64bits(1/(math.Abs(theta)+math.Sqrt(1+theta*theta))) ^ neg)
+	c = 1 / math.Sqrt(1+t*t)
+	return c, t * c, true
+}
+
+// rotate applies J(p, q) with parameters (c, s) to the n x n matrix md,
+// columns p and q first, then rows p and q, and to the eigenvector
+// accumulator vtd, whose transposed layout makes its update a row pair
+// too.
+func rotate(md, vtd []float64, n, p, q int, c, s float64) {
+	for k := 0; k < n; k++ {
+		kp, kq := k*n+p, k*n+q
+		akp, akq := md[kp], md[kq]
+		md[kp] = c*akp - s*akq
+		md[kq] = s*akp + c*akq
+	}
+	kernel.Rotate(md[p*n:(p+1)*n], md[q*n:(q+1)*n], c, s)
+	kernel.Rotate(vtd[p*n:(p+1)*n], vtd[q*n:(q+1)*n], c, s)
 }

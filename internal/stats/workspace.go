@@ -69,6 +69,7 @@ type PCAWorkspace struct {
 	cov      *Matrix
 	scores   *Matrix
 	rescaled *Matrix
+	scoresT  []float64
 	inCS     ColumnStats
 	covCS    ColumnStats
 	scoreCS  ColumnStats
@@ -114,16 +115,57 @@ func (w *PCAWorkspace) ComputePCA(data *Matrix, normalize bool) (*PCA, error) {
 // of da·db over the rows where da ≠ 0, so the gathered values are the
 // ones the subset would compute. That holds for any cols on finite data:
 // for an unsorted pair the skipped rows differ, but they add only ±0 to
-// a sum that is never −0. The returned PCA aliases the workspace.
+// a sum that is never −0. The returned PCA aliases the workspace. It is
+// the one-lane SubsetPCAs.
 func (w *PCAWorkspace) SubsetPCA(s *Standardized, cols []int) (*PCA, error) {
+	var p [1]*PCA
+	var err [1]error
+	SubsetPCAs(s, []*PCAWorkspace{w}, [][]int{cols}, p[:], err[:])
+	return p[0], err[0]
+}
+
+// SubsetPCAs is SubsetPCA(s, cols[l]) on workspace ws[l] for each of up
+// to Lanes lanes, bit for bit: lane l's PCA or error lands in pcas[l] or
+// errs[l]. Every group of lanes with the same number of columns is
+// decomposed by one lockstep Jacobi, which leaves each lane the bits a
+// lone decomposition would.
+func SubsetPCAs(s *Standardized, ws []*PCAWorkspace, cols [][]int, pcas []*PCA, errs []error) {
+	if len(cols) > Lanes || len(ws) < len(cols) || len(pcas) < len(cols) || len(errs) < len(cols) {
+		panic(fmt.Sprintf("stats: %d subset PCAs over %d workspaces, %d lanes at most", len(cols), len(ws), Lanes))
+	}
+	var done [Lanes]bool
+	for l, c := range cols {
+		pcas[l] = nil
+		errs[l] = ws[l].gatherSubset(s, c)
+		done[l] = errs[l] != nil
+	}
+	for l := range cols {
+		if done[l] {
+			continue
+		}
+		var group [Lanes]int
+		g := 0
+		for m := l; m < len(cols); m++ {
+			if !done[m] && len(cols[m]) == len(cols[l]) {
+				group[g], done[m] = m, true
+				g++
+			}
+		}
+		eigenPCAs(ws, group[:g], pcas, errs)
+	}
+}
+
+// gatherSubset validates cols and gathers their input statistics and
+// covariance block from s into the workspace.
+func (w *PCAWorkspace) gatherSubset(s *Standardized, cols []int) error {
 	if err := checkCols(cols, s.z.Cols); err != nil {
-		return nil, err
+		return err
 	}
 	if s.z.Rows < 2 {
-		return nil, fmt.Errorf("stats: PCA needs at least 2 rows, have %d", s.z.Rows)
+		return fmt.Errorf("stats: PCA needs at least 2 rows, have %d", s.z.Rows)
 	}
 	if len(cols) < 1 {
-		return nil, fmt.Errorf("stats: PCA needs at least 1 column")
+		return fmt.Errorf("stats: PCA needs at least 1 column")
 	}
 	p := len(cols)
 	w.inCS.Mean = growFloats(w.inCS.Mean, p)
@@ -137,23 +179,50 @@ func (w *PCAWorkspace) SubsetPCA(s *Standardized, cols []int) (*PCA, error) {
 			dst[b] = src[cb]
 		}
 	}
-	return w.eigenPCA()
+	return nil
 }
 
 // eigenPCA finishes a PCA whose covariance matrix is in w.cov and whose
-// input statistics are in w.inCS: the Jacobi eigendecomposition, then
-// the eigenpairs sorted by decreasing eigenvalue into w.pca.
+// input statistics are in w.inCS: the one-lane eigenPCAs.
 func (w *PCAWorkspace) eigenPCA() (*PCA, error) {
-	p := w.cov.Rows
-	if err := jacobiEigenInto(w.cov, 200, 1e-12, &w.jw); err != nil {
-		return nil, err
+	var p [1]*PCA
+	var err [1]error
+	eigenPCAs([]*PCAWorkspace{w}, []int{0}, p[:], err[:])
+	return p[0], err[0]
+}
+
+// eigenPCAs finishes the PCAs of the workspaces ws[l], l in lanes (at
+// most Lanes of them), whose covariance matrices (all the same size) are
+// in their cov and whose input statistics are in their inCS: one
+// lockstep Jacobi eigendecomposition, then each lane's eigenpairs sorted
+// by decreasing eigenvalue into its pca. Lane l's PCA or error lands in
+// pcas[l] or errs[l].
+func eigenPCAs(ws []*PCAWorkspace, lanes []int, pcas []*PCA, errs []error) {
+	var covs [Lanes]*Matrix
+	var jws [Lanes]*jacobiWork
+	var jerrs [Lanes]error
+	for i, l := range lanes {
+		covs[i], jws[i] = ws[l].cov, &ws[l].jw
 	}
+	n := len(lanes)
+	jacobiLanes(covs[:n], 200, 1e-12, jws[:n], jerrs[:n])
+	for i, l := range lanes {
+		if errs[l] = jerrs[i]; errs[l] == nil {
+			pcas[l] = ws[l].sortEigen()
+		}
+	}
+}
+
+// sortEigen sorts the eigenpairs in w.jw by decreasing eigenvalue into
+// w.pca.
+func (w *PCAWorkspace) sortEigen() *PCA {
+	p := w.cov.Rows
 	vals := w.jw.vals
 
-	// Sort eigenpairs by decreasing eigenvalue. sort.Slice is unstable,
-	// so exactly equal eigenvalues (rank-deficient or symmetric data)
-	// need an explicit tie-break on the original eigenpair index to keep
-	// the component order deterministic.
+	// sort.Slice is unstable, so exactly equal eigenvalues
+	// (rank-deficient or symmetric data) need an explicit tie-break on
+	// the original eigenpair index to keep the component order
+	// deterministic.
 	if cap(w.order) < p {
 		w.order = make([]int, p)
 	}
@@ -185,7 +254,7 @@ func (w *PCAWorkspace) eigenPCA() (*PCA, error) {
 		// Eigenvector idx is row idx of the transposed accumulator.
 		copy(w.pca.Components.Row(k), w.jw.vT.Row(idx))
 	}
-	return &w.pca, nil
+	return &w.pca
 }
 
 // SubsetRescaledScores is PCA.RescaledScores(sel, k), bit for bit, for
@@ -219,6 +288,20 @@ func (w *PCAWorkspace) SubsetRescaledScores(s *Standardized, cols []int, p *PCA,
 	w.rescaled = growMatrixInto(w.rescaled, n, k)
 	w.scores.normalizeInto(w.rescaled, &w.scoreCS)
 	return w.rescaled, nil
+}
+
+// SubsetDistances is PairwiseDistances of SubsetRescaledScores(s, cols,
+// p, k) into dst (grown when too short), bit for bit, without the
+// distances' sum: the GA sums several genomes' distances in one
+// interleaved loop. The rescaled scores are written transposed once, into
+// the workspace, for the distance kernel. The distances alias dst.
+func (w *PCAWorkspace) SubsetDistances(s *Standardized, cols []int, p *PCA, k int, dst []float64) ([]float64, error) {
+	scores, err := w.SubsetRescaledScores(s, cols, p, k)
+	if err != nil {
+		return nil, err
+	}
+	w.scoresT = growFloats(w.scoresT, scores.Rows*scores.Cols)
+	return scores.distancesInto(dst, w.scoresT), nil
 }
 
 // checkCols rejects column indexes outside [0, n).

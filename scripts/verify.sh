@@ -48,6 +48,14 @@ go build ./...
 echo "== go vet ./..."
 go vet ./...
 
+# Every platform but amd64 runs only the Go fallbacks of the assembly
+# kernels (internal/kernel/*_noasm.go and the generic loops), which the
+# native build never compiles. Vetting an arm64 build (offline, no
+# toolchain download) fails the gate when a stub is missing or a
+# fallback stops compiling.
+echo "== GOARCH=arm64 go vet ./... (the generic kernel fallbacks)"
+GOARCH=arm64 go vet ./...
+
 echo "== go test ./... (tier-1)"
 go test ./...
 
